@@ -46,7 +46,7 @@ class Covariate:
     def __post_init__(self):
         coords = tuple(float(c) for c in self.coords)
         arr = np.asarray(coords, dtype=float)
-        if arr.size and (np.any(arr < 0.0) or np.any(arr > 1.0)):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise DomainError(f"covariate coordinates must lie in [0,1], got {coords}")
         object.__setattr__(self, "coords", coords)
 
@@ -63,6 +63,24 @@ def _as_covariate(x, d: int) -> Covariate:
     if cov.d != d:
         raise DomainError(f"covariate has {cov.d} coordinates, model expects {d}")
     return cov
+
+
+def _check_horizon(theta: Theta, horizon: float) -> None:
+    if not 0 < horizon <= theta.horizon:
+        raise DomainError(f"horizon must lie in (0, {theta.horizon}], got {horizon}")
+
+
+def _covariate_rows(theta: Theta, xs) -> np.ndarray:
+    """xs as an (n, d) float array, checked against theta's d and [0,1]^d.
+
+    The range test is written so that NaN fails it.
+    """
+    xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
+    if xs.shape[1] != theta.d:
+        raise DomainError(f"covariate rows have d={xs.shape[1]}, theta has d={theta.d}")
+    if not np.all((xs >= 0) & (xs <= 1)):
+        raise DomainError("covariates must be finite and lie in [0,1]^d")
+    return xs
 
 
 @dataclass(frozen=True)
@@ -265,11 +283,7 @@ def survival_matrix(theta: Theta, xs, ts) -> np.ndarray:
     HazardCurve, vectorized across rows; results agree with the per-row
     curve up to float reassociation.
     """
-    xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
-    if xs.shape[1] != theta.d:
-        raise DomainError(f"covariate rows have d={xs.shape[1]}, theta has d={theta.d}")
-    if xs.size and (xs.min() < 0 or xs.max() > 1):
-        raise DomainError("covariates must lie in [0, 1]")
+    xs = _covariate_rows(theta, xs)
     ts = np.asarray(ts, dtype=float)
     if ts.size and (ts.min() < 0 or ts.max() > theta.horizon):
         raise DomainError(
@@ -306,51 +320,55 @@ def survival_matrix(theta: Theta, xs, ts) -> np.ndarray:
 # -- exact simulation by thinning ---------------------------------------
 
 
-def sample_time(theta: Theta, x, horizon: float, seed=None, rng=None):
+def _thin(theta: Theta, xs: np.ndarray, horizon: float, rng) -> np.ndarray:
+    """One thinning attempt on [0, horizon] for every covariate row at once.
+
+    Each round draws one rate-omega gap per live row, drops the rows that
+    passed the horizon, then one uniform per remaining row, and accepts
+    where u < sigmoid(eta_0(s) + sum_j x_j eta_j(s)).  Returns the event
+    times, NaN where a row is censored at the horizon.  Inputs are not
+    checked here.
+    """
+    knots = theta.grid.as_array()
+    vals = [np.asarray(p.values) for p in theta.paths]
+    times = np.full(len(xs), np.nan)
+    s = np.zeros(len(xs))
+    live = np.arange(len(xs))
+    while live.size:
+        s[live] += rng.exponential(1.0 / theta.omega, size=live.size)
+        live = live[s[live] <= horizon]
+        if not live.size:
+            break
+        at = s[live]
+        y = np.interp(at, knots, vals[0])
+        for j, v in enumerate(vals[1:]):
+            y += xs[live, j] * np.interp(at, knots, v)
+        accept = rng.uniform(size=live.size) < expit(y)
+        times[live[accept]] = at[accept]
+        live = live[~accept]
+    return times
+
+
+def sample_time(theta: Theta, x, horizon: float, seed=None):
     """Draw one survival time by thinning at the dominating rate omega.
 
     Returns the time, or None when no event occurs by the horizon.  The
     horizon must not exceed the path grid horizon.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    if horizon <= 0 or horizon > theta.horizon:
-        raise DomainError(f"horizon must lie in (0, {theta.horizon}]")
-    curve = HazardCurve(theta, x)
-    s = 0.0
-    while True:
-        s += rng.exponential(1.0 / theta.omega)
-        if s > horizon:
-            return None
-        if rng.uniform() < expit(curve.y_at(s)):
-            return float(s)
+    times, censored = sample_times_batch(theta, x, horizon, 1, seed)
+    return None if censored[0] else float(times[0])
 
 
-def sample_times_batch(theta: Theta, x, horizon: float, n: int, seed: int):
+def sample_times_batch(theta: Theta, x, horizon: float, n: int, seed):
     """Vectorized thinning: n survival times for one covariate.
 
     Returns (times, censored): censored entries of times hold NaN.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if horizon <= 0 or horizon > theta.horizon:
-        raise DomainError(f"horizon must lie in (0, {theta.horizon}]")
-    rng = np.random.default_rng(seed)
-    curve = HazardCurve(theta, x)
-    times = np.full(n, np.nan)
-    s = np.zeros(n)
-    active = np.arange(n)
-    while active.size:
-        s[active] += rng.exponential(1.0 / theta.omega, size=active.size)
-        over = s[active] > horizon
-        done_over = active[over]
-        times[done_over] = np.nan
-        active = active[~over]
-        if not active.size:
-            break
-        accept = rng.uniform(size=active.size) < expit(curve.y_at(s[active]))
-        times[active[accept]] = s[active[accept]]
-        active = active[~accept]
+    _check_horizon(theta, horizon)
+    xs = np.broadcast_to(_as_covariate(x, theta.d).as_array(), (n, theta.d))
+    times = _thin(theta, xs, horizon, np.random.default_rng(seed))
     return times, np.isnan(times)
 
 
@@ -495,19 +513,19 @@ def generate_dataset(theta0: Theta, n: int, design: str, q, horizon: float, seed
 
     design 'RD': q is a covariate law (UniformQ / ProductBetaQ / TableQ)
     sampled i.i.d.  design 'NRD': q is a fixed (>= n, d) array of
-    covariates used in order.  A record censored at the horizon is retried
-    with the horizon doubled (capped at the path grid horizon) up to
+    covariates used in order.  Every record is thinned at once on
+    [0, horizon]; the records censored there are thinned afresh from time
+    0 with the horizon doubled (capped at the path grid horizon), up to
     MAX_HORIZON_DOUBLINGS times before erroring.
 
-    Each record consumes its own spawned random stream, so the dataset is
-    reproducible and records are independent.
+    SeedSequence(seed) spawns two streams: the first draws the RD
+    covariates, the second all the times, so the dataset is reproducible
+    and its covariates do not depend on how the times are drawn.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if horizon <= 0 or horizon > theta0.horizon:
-        raise DomainError(f"horizon must lie in (0, {theta0.horizon}]")
-    root = np.random.SeedSequence(seed)
-    cov_ss, *record_ss = root.spawn(n + 1)
+    _check_horizon(theta0, horizon)
+    cov_ss, time_ss = np.random.SeedSequence(seed).spawn(2)
 
     if design == "RD":
         xs = q.sample(np.random.default_rng(cov_ss), n)
@@ -520,25 +538,23 @@ def generate_dataset(theta0: Theta, n: int, design: str, q, horizon: float, seed
         descriptor = {"family": "fixed", "n": int(n), "d": int(xs.shape[1])}
     else:
         raise DomainError(f"design must be 'RD' or 'NRD', got {design!r}")
-    if np.any(xs < 0) or np.any(xs > 1):
-        raise DomainError("covariates must lie in [0,1]^d")
+    xs = _covariate_rows(theta0, xs)
 
-    times = np.empty(n)
-    for i in range(n):
-        rng = np.random.default_rng(record_ss[i])
-        h = float(horizon)
-        t = None
-        for _ in range(MAX_HORIZON_DOUBLINGS + 1):
-            t = sample_time(theta0, xs[i], h, rng=rng)
-            if t is not None:
-                break
-            h = min(2.0 * h, theta0.horizon)
-        if t is None:
-            raise GenerationError(
-                f"record {i}: still censored after {MAX_HORIZON_DOUBLINGS} horizon doublings "
-                f"(final horizon {h:g}); extend the path grid or lower the horizon"
-            )
-        times[i] = t
+    rng = np.random.default_rng(time_ss)
+    h = float(horizon)
+    times = _thin(theta0, xs, h, rng)
+    for _ in range(MAX_HORIZON_DOUBLINGS):
+        censored = np.isnan(times)
+        if not censored.any():
+            break
+        h = min(2.0 * h, theta0.horizon)
+        times[censored] = _thin(theta0, xs[censored], h, rng)
+    if np.isnan(times).any():
+        raise GenerationError(
+            f"record {np.argmax(np.isnan(times))}: still censored after "
+            f"{MAX_HORIZON_DOUBLINGS} horizon doublings (final horizon {h:g}); "
+            f"extend the path grid or lower the horizon"
+        )
     return SurvivalDataset(
         times=tuple(float(t) for t in times),
         covariates=tuple(tuple(float(v) for v in row) for row in xs),

@@ -139,7 +139,8 @@ def test_03_mean_hazard_identity():
 def constant_model_dataset(theta, n, seed):
     """n records from a constant-path model: times by batch thinning,
     covariates uniform.  Constant paths make T independent of X, so this is
-    the model's joint law without the per-record wrapper loop."""
+    the model's joint law; drawing it here rather than by generate_dataset
+    keeps the check's datasets the same for a given seed."""
     time_ss, cov_ss = np.random.SeedSequence(seed).spawn(2)
     times, censored = sample_times_batch(theta, (0.5,), theta.horizon, n, seed=time_ss)
     assert not censored.any()

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
+from scipy.special import expit
 
 from gphazard.errors import DomainError, GenerationError
 from gphazard.gp_paths import DyadicGrid, GpPath, sample_path
 from gphazard.hazard import (
+    MAX_HORIZON_DOUBLINGS,
     Covariate,
     HazardCurve,
     ProductBetaQ,
@@ -33,6 +35,45 @@ def random_theta(seed, d=1, omega=2.0, horizon=8.0, level=5):
     return Theta(omega, paths)
 
 
+def softplus_cdf(theta, xs, ts):
+    """1 - S_x(t) per row from the exact integral of a sigmoid over each
+    linear piece of Y = eta_0 + x . eta: width (softplus(b) - softplus(a)) / (b - a)."""
+    knots = theta.grid.as_array()
+    y = np.stack([np.asarray(p.values) for p in theta.paths])
+    yk = np.concatenate([np.ones((len(xs), 1)), xs], axis=1) @ y
+
+    def piece(a, b, width):
+        diff = b - a
+        small = np.abs(diff) < 1e-9
+        slope = (np.logaddexp(0.0, b) - np.logaddexp(0.0, a)) / np.where(small, 1.0, diff)
+        return width * np.where(small, expit(0.5 * (a + b)), slope)
+
+    cum = np.concatenate(
+        [np.zeros((len(xs), 1)), np.cumsum(piece(yk[:, :-1], yk[:, 1:], np.diff(knots)), axis=1)],
+        axis=1,
+    )
+    rows = np.arange(len(xs))
+    i = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, len(knots) - 2)
+    frac = (ts - knots[i]) / (knots[i + 1] - knots[i])
+    y_t = yk[rows, i] + frac * (yk[rows, i + 1] - yk[rows, i])
+    lam = theta.omega * (cum[rows, i] + piece(yk[rows, i], y_t, ts - knots[i]))
+    return -np.expm1(-lam)
+
+
+def retry_mixture_cdf(theta, xs, ts, horizon):
+    """CDF of a time drawn by up to MAX_HORIZON_DOUBLINGS + 1 fresh
+    thinning attempts on h_0 = horizon, h_k+1 = min(2 h_k, tau), given
+    that one of them saw an event."""
+    total = np.zeros(len(xs))
+    survive = np.ones(len(xs))
+    h = horizon
+    for _ in range(MAX_HORIZON_DOUBLINGS + 1):
+        total += survive * softplus_cdf(theta, xs, np.minimum(ts, h))
+        survive *= 1.0 - softplus_cdf(theta, xs, np.full(len(xs), h))
+        h = min(2.0 * h, theta.horizon)
+    return total / (1.0 - survive)
+
+
 class TestThetaAndCovariate:
     def test_covariate_validation(self):
         assert Covariate((0.0, 1.0)).d == 2
@@ -41,6 +82,8 @@ class TestThetaAndCovariate:
             Covariate((1.5,))
         with pytest.raises(DomainError):
             Covariate((-0.1, 0.5))
+        with pytest.raises(DomainError):
+            Covariate((math.nan,))
 
     def test_theta_validation(self):
         grid = DyadicGrid(1.0, 2)
@@ -172,6 +215,45 @@ class TestSampling:
             sample_time(th, (), 6.0, seed=0)
         with pytest.raises(DomainError):
             sample_times_batch(th, (), 0.0, 10, seed=0)
+        with pytest.raises(DomainError):
+            sample_time(th, (), math.nan, seed=0)
+        with pytest.raises(DomainError):
+            sample_times_batch(th, (), math.nan, 10, seed=0)
+
+    def test_nonfinite_covariate_rejected(self):
+        th = Theta.constant(1.0, d=1, horizon=5.0, level=3)
+        with pytest.raises(DomainError):
+            sample_times_batch(th, (math.nan,), 5.0, 10, seed=0)
+
+    # values recorded from the scalar and single-covariate samplers that
+    # preceded the shared kernel; it draws in their order, so a seed keeps
+    # its times, censored or not
+    def test_sample_time_pinned(self):
+        th0 = random_theta(31, d=0, omega=1.5, horizon=3.0)
+        assert [sample_time(th0, (), 3.0, seed=s) for s in range(6)] == [
+            0.453287935979273, 1.0085759609690967, 0.08657409066932432,
+            0.07334320845202655, None, 2.192015918407248,
+        ]
+        th1 = random_theta(37, d=1, omega=3.0, horizon=2.0)
+        assert [sample_time(th1, (0.3,), 2.0, seed=s) for s in range(6)] == [
+            0.23324618885265497, 1.2880274679777133, 0.2144467097961329,
+            0.7625320346772045, None, 1.096007959203624,
+        ]
+
+    def test_sample_times_batch_pinned(self):
+        th0 = random_theta(31, d=0, omega=1.5, horizon=3.0)
+        times, censored = sample_times_batch(th0, (), 1.0, 6, seed=5)
+        assert_array_equal(times, [
+            math.nan, 0.5001276213313268, 0.8675692677322853, 0.3529520369126281,
+            math.nan, math.nan,
+        ])
+        assert_array_equal(censored, np.isnan(times))
+        th1 = random_theta(37, d=1, omega=3.0, horizon=2.0)
+        times, _ = sample_times_batch(th1, (0.8,), 2.0, 6, seed=11)
+        assert_array_equal(times, [
+            0.07653081043914678, 1.213564803481567, 1.3665544462498056,
+            1.260130976546978, 1.3128133099890826, 1.7153508576217387,
+        ])
 
 
 class TestDatasets:
@@ -217,6 +299,37 @@ class TestDatasets:
         th = Theta(0.01, (GpPath(grid, (-5.0,) * 9),))
         with pytest.raises(GenerationError, match="doubling"):
             generate_dataset(th, 1, "RD", UniformQ(0), horizon=0.5, seed=0)
+
+    def test_covariates_come_from_the_first_spawned_stream(self):
+        th = Theta.constant(2.0, d=2, horizon=40.0, level=4)
+        for q, seed in ((UniformQ(2), 4), (ProductBetaQ((2.0, 0.5), (1.0, 3.0)), 8)):
+            ds = generate_dataset(th, 40, "RD", q, horizon=40.0, seed=seed)
+            rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+            assert_array_equal(ds.covariates_array(), q.sample(rng, 40))
+
+    def test_retry_heavy_generation_matches_mixture_cdf(self):
+        # at horizon 0.25 most first attempts are censored; each retry
+        # thins afresh from 0 on a doubled horizon, so a record's time has
+        # the mixture law sum_k P_k F(min(t, h_k)) given success
+        th = random_theta(11, d=1, omega=2.0, horizon=8.0)
+        ds = generate_dataset(th, 4000, "RD", UniformQ(1), horizon=0.25, seed=3)
+        xs, times = ds.covariates_array(), ds.times_array()
+        first_censored = 1.0 - softplus_cdf(th, xs, np.full(len(xs), 0.25))
+        assert first_censored.mean() > 0.5
+        pit = retry_mixture_cdf(th, xs, times, 0.25)
+        assert stats.kstest(pit, "uniform").pvalue > 0.01
+        # the same times against the law without retries are rejected
+        one_attempt = softplus_cdf(th, xs, times) / softplus_cdf(th, xs, np.full(len(xs), 8.0))
+        assert stats.kstest(one_attempt, "uniform").pvalue < 1e-6
+
+    def test_nan_horizon_and_covariates_rejected(self):
+        th = Theta.constant(2.0, d=1, horizon=10.0, level=3)
+        with pytest.raises(DomainError):
+            generate_dataset(th, 5, "RD", UniformQ(1), math.nan, 0)
+        with pytest.raises(DomainError, match="finite"):
+            generate_dataset(th, 2, "NRD", [[0.5], [math.nan]], 10.0, 0)
+        with pytest.raises(DomainError):
+            generate_dataset(th, 5, "RD", UniformQ(2), 10.0, 0)
 
     def test_zero_n_rejected(self):
         th = Theta.constant(2.0, d=0, horizon=10.0, level=3)

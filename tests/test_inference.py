@@ -392,13 +392,16 @@ class TestMcmcRun:
         assert run.warnings == ()
 
     def test_flags_dead_omega_block(self):
+        # log-scale steps of sd 60 accept about 0.1% of the time; over 3000
+        # post-burn-in tries that is a handful of accepts, far below the 30
+        # at the 1% warning line
         theta0 = Theta.constant(2.0, 0, 10.0)
         dataset = generate_dataset(theta0, 300, "RD", UniformQ(0), 10.0, 21)
         prior = ModelPrior((se3(),), OmegaPrior(2.0, 1.0))
-        cfg = McmcConfig(400, 100, 2, 60.0, 0.999, 2)
+        cfg = McmcConfig(3100, 100, 2, 60.0, 0.999, 2)
         run = mcmc_run(dataset, prior, cfg, tuple(np.linspace(0.0, 10.0, 4)))
-        assert run.acceptance_omega == 0.0
-        assert any("below 1%" in w for w in run.warnings)
+        assert run.acceptance_omega < 0.01
+        assert any("omega acceptance rate" in w and "below 1%" in w for w in run.warnings)
 
     def test_posterior_covers_truth(self):
         # one covariate, constant truth: the posterior hazard at a fixed
