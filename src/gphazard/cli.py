@@ -331,8 +331,21 @@ def _kernel_from(name: str, lengthscale: float, variance: float) -> StationaryKe
     return StationaryKernel.constant(variance=variance)
 
 
+def _finite_or_null(value):
+    """value with every non-finite float inside it replaced by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(directory: Path, name: str, payload) -> str:
-    (directory / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write payload as strict JSON: non-finite floats become null."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    (directory / name).write_text(text + "\n")
     return name
 
 

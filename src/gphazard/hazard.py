@@ -6,17 +6,16 @@ A parameter theta = (omega, eta_0..eta_d) induces, for a covariate x in
     lambda_x(t) = omega * sigmoid(eta_0(t) + sum_j x_j eta_j(t)),
 
 so omega dominates the hazard everywhere and exact simulation by thinning
-is available.  Paths are grid functions (GpPath) interpolated linearly;
-cumulative hazards use the trapezoid rule on the path grid refined to at
-least MIN_PANELS panels, and evaluation refuses to extrapolate beyond the
-grid horizon.
+is available.  Paths are grid functions (GpPath) interpolated linearly,
+so the link is linear on each grid cell and every cumulative hazard is
+exact: the integral of a sigmoid is softplus.  Evaluation refuses to
+extrapolate beyond the grid horizon.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,10 +25,13 @@ from scipy.special import expit
 from .errors import DomainError, GenerationError
 from .gp_paths import DyadicGrid, GpPath, TimeGrid, h_weight
 
-MIN_PANELS = 2 ** 8
 MC_MIN_REPS = 100
 CI_Z = 1.96
 MAX_HORIZON_DOUBLINGS = 10
+# Below this change of the link across a segment the softplus quotient
+# loses digits to cancellation and the midpoint expansion takes over;
+# there the two agree to about 3e-13 relative.
+_FLAT_DY = 1e-3
 
 
 def log_sigmoid(y):
@@ -186,6 +188,56 @@ class Theta:
 # -- evaluation ---------------------------------------------------------
 
 
+def _softplus_tail(y):
+    """log1p(exp(-|y|)), so that softplus(y) = max(y, 0) + _softplus_tail(y).
+
+    Differences of tails keep their digits where softplus itself is large.
+    """
+    return np.log1p(np.exp(-np.abs(y)))
+
+
+def _mean_sigmoid(y0, y1, tail0, tail1):
+    """Mean of sigmoid along the segments from y0 to y1 (arrays of one shape).
+
+    tail0 and tail1 are the _softplus_tail of the ends.  The integral of
+    sigmoid is softplus, so the mean is (softplus(y1) - softplus(y0)) /
+    (y1 - y0); on near-flat segments the midpoint expansion
+    s + s(1-s)(1-2s) dy^2 / 24 with s = sigmoid(midpoint) replaces it.
+    """
+    dy = y1 - y0
+    flat = np.abs(dy) < _FLAT_DY
+    out = (np.maximum(y1, 0.0) - np.maximum(y0, 0.0) + (tail1 - tail0)) / np.where(flat, 1.0, dy)
+    if flat.any():
+        s = expit(0.5 * (y0[flat] + y1[flat]))
+        out[flat] = s + s * (1.0 - s) * (1.0 - 2.0 * s) * dy[flat] ** 2 / 24.0
+    return out
+
+
+def _link_integral(knots, y, t):
+    """Y(t), softplus(Y(t)) and the integral of sigmoid(Y) over [0, t].
+
+    y holds link rows at the knots, shape (m, K), and Y is their linear
+    interpolant; t broadcasts against (m, 1) and lies in
+    [0, knots[-1]].  Y is linear on each knot cell, so each integral is
+    exact: the whole cells are summed once per row, and each t adds only
+    its partial cell, at the cost of one softplus.
+    """
+    dt = np.diff(knots)
+    tail = _softplus_tail(y)
+    whole = dt * _mean_sigmoid(y[:, :-1], y[:, 1:], tail[:, :-1], tail[:, 1:])
+    cum = np.concatenate([np.zeros((len(y), 1)), np.cumsum(whole, axis=1)], axis=1)
+    slope = np.concatenate([np.diff(y) / dt, np.zeros((len(y), 1))], axis=1)
+    k = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+    # one flat index into the (m, K) tables serves every gather
+    at = np.arange(len(y))[:, None] * len(knots) + k
+    y0 = np.take(y, at)
+    width = t - knots[k]
+    y_t = y0 + width * np.take(slope, at)
+    tail_t = _softplus_tail(y_t)
+    part = width * _mean_sigmoid(y0, y_t, np.take(tail, at), tail_t)
+    return y_t, np.maximum(y_t, 0.0) + tail_t, np.take(cum, at) + part
+
+
 @dataclass(frozen=True)
 class HazardPoint:
     y: float
@@ -196,38 +248,21 @@ class HazardPoint:
 
 
 class HazardCurve:
-    """Precomputed hazard machinery for one (theta, x) pair.
+    """Hazard, cumulative hazard, survival and density for one (theta, x).
 
-    Linear interpolation of the combined path Y is exact on the refined
-    grid because refinement keeps every original knot; the cumulative
-    hazard is the trapezoid rule with knots at the refined grid plus the
-    query point.
+    The link Y = eta_0 + x . eta interpolates its knot values linearly,
+    and the cumulative hazard is omega times its exact sigmoid integral
+    (_link_integral).
     """
 
     def __init__(self, theta: Theta, x):
         cov = _as_covariate(x, theta.d)
         self.theta = theta
         self.x = cov
-        base = theta.grid.as_array()
         vals = np.stack([np.asarray(p.values) for p in theta.paths])
         weights = np.concatenate([[1.0], cov.as_array()])
-        self._knots = base
+        self._knots = theta.grid.as_array()
         self._y_knots = weights @ vals
-        cells = len(base) - 1
-        refine = max(1, math.ceil(MIN_PANELS / cells))
-        if refine == 1:
-            fine = base
-        else:
-            # per-cell linspace keeps every original knot in the fine grid
-            offsets = np.linspace(0.0, 1.0, refine, endpoint=False)
-            fine = (base[:-1, None] + offsets[None, :] * np.diff(base)[:, None]).ravel()
-            fine = np.append(fine, base[-1])
-        self._fine = fine
-        self._hazard_fine = self.hazard_at(fine)
-        dt = np.diff(fine)
-        self._cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (self._hazard_fine[1:] + self._hazard_fine[:-1]) * dt)]
-        )
 
     def _check_domain(self, t) -> np.ndarray:
         arr = np.asarray(t, dtype=float)
@@ -249,11 +284,9 @@ class HazardCurve:
 
     def cum_hazard_at(self, t):
         arr = self._check_domain(t)
-        flat = np.atleast_1d(arr)
-        idx = np.clip(np.searchsorted(self._fine, flat, side="right") - 1, 0, len(self._fine) - 1)
-        t0 = self._fine[idx]
-        out = self._cum[idx] + 0.5 * (self._hazard_fine[idx] + self.hazard_at(flat)) * (flat - t0)
-        return (out if arr.ndim else float(out[0]))
+        _, _, integral = _link_integral(self._knots, self._y_knots[None, :], arr.reshape(1, -1))
+        out = self.theta.omega * integral.reshape(arr.shape)
+        return out if arr.ndim else float(out)
 
     def survival_at(self, t):
         return np.exp(-self.cum_hazard_at(t))
@@ -279,9 +312,7 @@ def evaluate(theta: Theta, x, t: float) -> HazardPoint:
 def survival_matrix(theta: Theta, xs, ts) -> np.ndarray:
     """S_x(t) for each covariate row x and shared times t, shape (nx, nt).
 
-    Same refined grid, trapezoid cumulative and partial-cell correction as
-    HazardCurve, vectorized across rows; results agree with the per-row
-    curve up to float reassociation.
+    The same exact cumulative hazard as HazardCurve, for all rows at once.
     """
     xs = _covariate_rows(theta, xs)
     ts = np.asarray(ts, dtype=float)
@@ -289,32 +320,10 @@ def survival_matrix(theta: Theta, xs, ts) -> np.ndarray:
         raise DomainError(
             f"time outside [0, {theta.horizon}]; evaluation does not extrapolate"
         )
-    base = theta.grid.as_array()
     vals = np.stack([np.asarray(p.values) for p in theta.paths])
-    cells = len(base) - 1
-    refine = max(1, math.ceil(MIN_PANELS / cells))
-    if refine == 1:
-        fine = base
-    else:
-        offsets = np.linspace(0.0, 1.0, refine, endpoint=False)
-        fine = (base[:-1, None] + offsets[None, :] * np.diff(base)[:, None]).ravel()
-        fine = np.append(fine, base[-1])
-    design = np.concatenate([np.ones((len(xs), 1)), xs], axis=1)
-    y_fine = np.stack([np.interp(fine, base, v) for v in vals])
-    haz_fine = theta.omega * expit(design @ y_fine)
-    dt = np.diff(fine)
-    cum = np.concatenate(
-        [
-            np.zeros((len(xs), 1)),
-            np.cumsum(0.5 * (haz_fine[:, 1:] + haz_fine[:, :-1]) * dt, axis=1),
-        ],
-        axis=1,
-    )
-    idx = np.clip(np.searchsorted(fine, ts, side="right") - 1, 0, len(fine) - 1)
-    y_t = np.stack([np.interp(ts, base, v) for v in vals])
-    haz_t = theta.omega * expit(design @ y_t)
-    lam = cum[:, idx] + 0.5 * (haz_fine[:, idx] + haz_t) * (ts - fine[idx])[None, :]
-    return np.exp(-lam)
+    y = np.concatenate([np.ones((len(xs), 1)), xs], axis=1) @ vals
+    _, _, integral = _link_integral(theta.grid.as_array(), y, ts[None, :])
+    return np.exp(-theta.omega * integral)
 
 
 # -- exact simulation by thinning ---------------------------------------

@@ -23,17 +23,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import expit
 from scipy.stats import spearmanr
 
 from .errors import DomainError, GpHazardError, NumericError
 from .gp_paths import TimeGrid, _covariance_cholesky
-from .hazard import SurvivalDataset, Theta, generate_dataset, log_sigmoid
+from .hazard import SurvivalDataset, Theta, _link_integral, generate_dataset
 from .kernels import StationaryKernel
 from .vc import GridSpec, sup_deviation_metric
 
 __all__ = [
-    "LIKELIHOOD_PANELS",
     "ThetaRep",
     "OmegaPrior",
     "ModelPrior",
@@ -48,12 +46,6 @@ __all__ = [
     "posterior_outside_mass",
     "consistency_experiment",
 ]
-
-# Trapezoid panels for the likelihood integral; the knot grid is merged
-# in so interpolation of the paths stays exact at the knots.
-LIKELIHOOD_PANELS = 512
-
-_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -191,11 +183,11 @@ class McmcConfig:
 class _Likelihood:
     """Per-dataset workspace for the observed-data log likelihood.
 
-    The integral of the hazard link over [0, t_i] is a trapezoid rule on
-    one shared refined grid; each record then needs only a cumulative
-    lookup plus its fractional last panel.  With no covariates all
-    records share one path, so evaluation is linear in n; otherwise
-    records are processed in row chunks.
+    Each record needs log sigmoid(Y_i(t_i)) and the integral of
+    sigmoid(Y_i) over [0, t_i], both exact from hazard._link_integral.
+    With no covariates every record shares one link row, so its whole
+    knot cells are integrated once per evaluation and each record adds
+    only its partial cell.
     """
 
     def __init__(self, dataset: SurvivalDataset, knots):
@@ -208,49 +200,19 @@ class _Likelihood:
             )
         if t.size and float(t.max()) > horizon:
             raise DomainError("a record time lies past the representation horizon")
-        base = np.linspace(0.0, horizon, LIKELIHOOD_PANELS + 1)
-        grid = np.union1d(base, kn)
         self.knots = kn
-        self.grid = grid
-        self.dg = np.diff(grid)
-        self.t = t
         self.x = dataset.covariates_array()
         self.d = dataset.d
         self.n = dataset.n
-        self.pos = np.clip(np.searchsorted(grid, t, side="left") - 1, 0, grid.size - 2)
-        self.rem = t - grid[self.pos]
-        if self.d > 0:
-            # trapezoid weights per record over grid nodes, truncated at
-            # t_i; the off-grid half of the last panel stays separate
-            active = np.arange(grid.size - 1)[None, :] < self.pos[:, None]
-            w = np.zeros((self.n, grid.size))
-            w[:, :-1] += 0.5 * self.dg * active
-            w[:, 1:] += 0.5 * self.dg * active
-            w[np.arange(self.n), self.pos] += 0.5 * self.rem
-            self.weights = w
+        # the shared row (d = 0) takes the times along its one row
+        self.t = t[None, :] if self.d == 0 else t[:, None]
 
     def pieces(self, values) -> tuple:
         """(log link at each record time, integrated link over [0, t_i])."""
         vals = np.asarray(values, dtype=float)
-        on_grid = np.vstack([np.interp(self.grid, self.knots, row) for row in vals])
-        at_t = np.vstack([np.interp(self.t, self.knots, row) for row in vals])
-        if self.d == 0:
-            yt = at_t[0]
-            sig = expit(on_grid[0])
-            cum = np.concatenate(
-                ([0.0], np.cumsum(0.5 * (sig[1:] + sig[:-1]) * self.dg))
-            )
-            lam = cum[self.pos] + 0.5 * (sig[self.pos] + expit(yt)) * self.rem
-            return log_sigmoid(yt), lam
-        yt = at_t[0] + np.einsum("nd,dn->n", self.x, at_t[1:])
-        lam = np.empty(self.n)
-        for a in range(0, self.n, _CHUNK_ROWS):
-            b = min(a + _CHUNK_ROWS, self.n)
-            y = on_grid[0][None, :] + self.x[a:b] @ on_grid[1:]
-            sig = expit(y)
-            lam[a:b] = np.einsum("ng,ng->n", sig, self.weights[a:b])
-        lam += 0.5 * self.rem * expit(yt)
-        return log_sigmoid(yt), lam
+        y = vals[:1] if self.d == 0 else vals[0] + self.x @ vals[1:]
+        y_t, softplus_t, lam = _link_integral(self.knots, y, self.t)
+        return (y_t - softplus_t).ravel(), lam.ravel()
 
     def parts(self, values) -> tuple:
         logsig, lam = self.pieces(values)

@@ -384,6 +384,20 @@ class TestRun:
         cells = (dirs[0] / "cells.csv").read_text().strip().split("\n")
         assert len(cells) == 4
 
+    def test_default_consistency_writes_strict_json(self, tmp_path):
+        # the default ladder puts no posterior mass outside the ball at any
+        # n, so its rank correlation is undefined
+        status, dirs = run_doc(tmp_path, {"command": "consistency"})
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject)
+        json.loads((dirs[0] / "manifest.json").read_text(), parse_constant=reject)
+        assert status == 2
+        assert report["spearman"] is None
+        assert report["consistent_trend"] is False
+
     def test_execution_error_gives_status_one(self, tmp_path, capsys):
         doc = {
             "command": "test-stat",

@@ -1,14 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
+from scipy.integrate import quad
 from scipy.special import expit
 
 from gphazard.errors import DomainError, GenerationError
 from gphazard.gp_paths import DyadicGrid, GpPath, sample_path
 from gphazard.hazard import (
+    _FLAT_DY,
     MAX_HORIZON_DOUBLINGS,
     Covariate,
     HazardCurve,
@@ -22,6 +25,9 @@ from gphazard.hazard import (
     mc_mean_hazard,
     sample_time,
     sample_times_batch,
+    _link_integral,
+    _mean_sigmoid,
+    _softplus_tail,
     survival_matrix,
 )
 from gphazard.kernels import StationaryKernel
@@ -165,6 +171,16 @@ class TestEvaluate:
             integral = float(np.trapezoid(curve.density_at(ts), ts))
             assert abs(integral - (1.0 - float(curve.survival_at(th.horizon)))) < 1e-3
 
+    def test_cum_hazard_matches_quadrature(self):
+        th = random_theta(31, d=1, omega=2.5)
+        curve = HazardCurve(th, (0.35,))
+        knots = th.grid.as_array()
+        for t in (0.01, 0.5, knots[7], 3.3, th.horizon):
+            inner = [k for k in knots if 0.0 < k < t] or None
+            want, _ = quad(curve.hazard_at, 0.0, t, points=inner, limit=200,
+                           epsabs=0.0, epsrel=1e-13)
+            assert_allclose(curve.cum_hazard_at(t), want, rtol=1e-12)
+
     def test_extrapolation_refused(self):
         th = random_theta(2)
         curve = HazardCurve(th, (0.5,))
@@ -177,6 +193,55 @@ class TestEvaluate:
         th = random_theta(4, d=1)
         with pytest.raises(DomainError):
             evaluate(th, (0.2, 0.8), 1.0)
+
+
+def mp_mean_sigmoid(y0, y1):
+    """Mean of sigmoid over [y0, y1] in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(float(y0)), mpmath.mpf(float(y1))
+        if a == b:
+            return float(1 / (1 + mpmath.exp(-a)))
+        softplus = lambda y: mpmath.log1p(mpmath.exp(y))
+        return float((softplus(b) - softplus(a)) / (b - a))
+
+
+class TestClosedForm:
+    # _FLAT_DY * (1 -+ 1e-6) straddle the switch from the midpoint
+    # expansion to the softplus quotient
+    STEPS = [0.0, 1e-15, 1e-9, 1e-6, 1e-4, _FLAT_DY * (1 - 1e-6), _FLAT_DY * (1 + 1e-6),
+             2e-3, 0.1, 1.0, 5.0]
+
+    @pytest.mark.parametrize("step", STEPS + [-s for s in STEPS[1:]])
+    def test_mean_sigmoid_matches_mpmath(self, step):
+        y0 = np.linspace(-30.0, 30.0, 97)
+        y1 = y0 + step
+        got = _mean_sigmoid(y0, y1, _softplus_tail(y0), _softplus_tail(y1))
+        want = [mp_mean_sigmoid(a, b) for a, b in zip(y0, y1)]
+        assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_mean_sigmoid_wide_segments(self):
+        y0 = np.array([-30.0, 30.0, -30.0, 0.0, 12.5])
+        y1 = np.array([30.0, -30.0, 0.0, -29.0, 12.5 + 1e-3])
+        got = _mean_sigmoid(y0, y1, _softplus_tail(y0), _softplus_tail(y1))
+        want = [mp_mean_sigmoid(a, b) for a, b in zip(y0, y1)]
+        assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_link_integral_matches_quadrature(self):
+        rng = np.random.default_rng(8)
+        knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, 8))])
+        y = rng.normal(0.0, 3.0, (3, knots.size))
+        t = np.array([[0.0], [knots[3]], [knots[-1]]])
+        t = np.concatenate([t, rng.uniform(0.0, knots[-1], (3, 4))], axis=1)
+        y_t, softplus_t, integral = _link_integral(knots, y, t)
+        for i in range(3):
+            for j in range(t.shape[1]):
+                ti = t[i, j]
+                inner = [k for k in knots if 0.0 < k < ti] or None
+                want, _ = quad(lambda s: expit(np.interp(s, knots, y[i])), 0.0, ti,
+                               points=inner, epsabs=0.0, epsrel=1e-13)
+                assert_allclose(integral[i, j], want, rtol=1e-12, atol=1e-300)
+                assert_allclose(y_t[i, j], np.interp(ti, knots, y[i]), rtol=1e-14, atol=1e-14)
+                assert_allclose(softplus_t[i, j], np.logaddexp(0.0, y_t[i, j]), rtol=1e-14)
 
 
 class TestSampling:
@@ -384,6 +449,15 @@ class TestSurvivalMatrix:
         mat = survival_matrix(theta, xs, ts)
         for i, row in enumerate(xs):
             assert_allclose(mat[i], HazardCurve(theta, row).survival_at(ts), rtol=1e-10)
+
+    def test_matches_softplus_oracle(self):
+        theta = random_theta(12, d=2, omega=3.0)
+        rng = np.random.default_rng(13)
+        xs = rng.random((9, 2))
+        ts = np.concatenate([rng.uniform(0.05, theta.horizon, 30), theta.grid.as_array()[1:]])
+        got = 1.0 - survival_matrix(theta, xs, ts)
+        want = softplus_cdf(theta, np.repeat(xs, ts.size, axis=0), np.tile(ts, len(xs)))
+        assert_allclose(got, want.reshape(len(xs), ts.size), rtol=1e-12)
 
     def test_zero_dimension_and_zero_time(self):
         theta = Theta.constant(omega=2.0, d=0, horizon=4.0)

@@ -1,7 +1,7 @@
 """Tests for the knot-grid sampler and the consistency experiment.
 
-Likelihood values are checked against closed forms and the pointwise
-hazard evaluator; sampler correctness against prior recovery, a
+Likelihood values are checked against closed forms and adaptive
+quadrature; sampler correctness against prior recovery, a
 detailed-balance toy with a quadrature reference, and a short posterior
 run on synthetic data.  The experiment is exercised end to end on a
 small ladder.
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import expit
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import multivariate_normal
 
@@ -177,7 +178,7 @@ class TestMcmcConfig:
 class TestLogLikelihood:
     def test_exponential_closed_form(self):
         # flat path at 0 with omega 2 is the unit exponential; density at
-        # t=1 is e^{-1}, and the trapezoid rule is exact for a constant
+        # t=1 is e^{-1}
         assert log_likelihood(flat_rep(2.0), single_record(1.0)) == pytest.approx(
             -1.0, abs=1e-12
         )
@@ -202,23 +203,45 @@ class TestLogLikelihood:
         )
         assert_allclose(total, split, rtol=1e-12)
 
-    def test_matches_pointwise_hazard_evaluator(self):
+    def test_matches_quadrature(self):
         rng = np.random.default_rng(5)
-        knots = tuple(np.linspace(0.0, 6.0, 5))
-        values = tuple(tuple(rng.normal(0.0, 0.7, 5)) for _ in range(2))
-        rep = ThetaRep(1.7, knots, values)
-        theta = rep.to_theta()
+        knots = np.linspace(0.0, 6.0, 5)
+        values = rng.normal(0.0, 0.7, (2, 5))
+        rep = ThetaRep(1.7, tuple(knots), tuple(tuple(row) for row in values))
         times = (0.4, 1.3, 2.2, 5.9, 0.05, 3.3)
         covs = ((0.2,), (0.9,), (0.5,), (0.0,), (1.0,), (0.77,))
         dataset = SurvivalDataset(
             times=times, covariates=covs, design="RD", q_descriptor={}, horizon=6.0
         )
-        direct = sum(
-            math.log(HazardCurve(theta, Covariate(x)).density_at(t))
-            for t, x in zip(times, covs)
+        direct = 0.0
+        for t, (x,) in zip(times, covs):
+            def link(s, x=x):
+                return np.interp(s, knots, values[0]) + x * np.interp(s, knots, values[1])
+
+            inner = [k for k in knots if 0.0 < k < t] or None
+            integral, _ = quad(
+                lambda s: expit(link(s)), 0.0, t, points=inner, epsabs=0.0, epsrel=1e-13
+            )
+            direct += math.log(1.7) + math.log(expit(link(t))) - 1.7 * integral
+        assert_allclose(log_likelihood(rep, dataset), direct, rtol=0.0, atol=1e-10)
+
+    def test_shared_row_matches_zero_covariate(self):
+        # d = 0 integrates one link row shared by all records; d = 1 with
+        # x = 0 and a zero eta_1 path gives every record that same row
+        theta = Theta.constant(2.0, d=0, horizon=8.0)
+        base = generate_dataset(theta, 200, "RD", UniformQ(0), horizon=8.0, seed=3)
+        lifted = SurvivalDataset(
+            times=base.times,
+            covariates=((0.0,),) * base.n,
+            design="RD",
+            q_descriptor={},
+            horizon=base.horizon,
         )
-        # refined trapezoid vs per-point quadrature in the evaluator
-        assert_allclose(log_likelihood(rep, dataset), direct, atol=1e-4)
+        knots = tuple(np.linspace(0.0, 8.0, 9))
+        row = tuple(np.random.default_rng(4).normal(0.0, 1.0, 9))
+        shared = log_likelihood(ThetaRep(1.3, knots, (row,)), base)
+        per_row = log_likelihood(ThetaRep(1.3, knots, (row, (0.0,) * 9)), lifted)
+        assert_allclose(shared, per_row, rtol=1e-14)
 
     def test_rejects_empty_dataset(self):
         empty = SurvivalDataset(
