@@ -507,6 +507,7 @@ class CellResult:
     acceptance_paths: float
     wall_time: float
     error: str = ""
+    warnings: tuple = ()    # the chain's McmcReport.warnings
 
 
 @dataclass(frozen=True)
@@ -536,6 +537,10 @@ class ExperimentReport:
             "per_n": {str(n): m for n, m in self.per_n},
             "cells": len(self.cells),
             "failures": sum(1 for c in self.cells if c.error),
+            "warnings": [
+                {"n": c.n, "rep": c.rep, "messages": list(c.warnings)}
+                for c in self.cells if c.warnings
+            ],
         }
 
 
@@ -573,6 +578,7 @@ def consistency_experiment(spec: ExperimentSpec) -> ExperimentReport:
                         acceptance_omega=run.acceptance_omega,
                         acceptance_paths=run.acceptance_paths,
                         wall_time=time.perf_counter() - start,
+                        warnings=run.warnings,
                     )
                 )
             except GpHazardError as exc:

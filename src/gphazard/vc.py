@@ -6,13 +6,16 @@ cube.  A parameter theta induces a law mu_theta of (T, X); the distance
 between parameters is the supremum over rectangles of the difference in
 mass, realized as a maximum over grid-anchored rectangles.  The test
 statistic compares the empirical measure of a dataset against a reference
-parameter over rectangles anchored on the data coordinates; that maximum
-is found exactly by branch and bound over anchor pairs, which keeps the
-search tractable on one core at n in the thousands.
+parameter over rectangles anchored on the data coordinates.  Its maximum
+is found exactly by a best-first branch and bound over covariate anchor
+pairs, with the time axis swept exactly per pair: anchor rows come from
+one blockwise provider, and pairs are bounded on blocks of 64 anchors,
+then on runs of 16, then row by row, before any pair is scored.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -36,12 +39,12 @@ MAX_RECTANGLES = 10_000_000
 Q_CELLS_1D = 64
 Q_CELLS_2D = 16
 
-# Anchored-search tuning: dense row matrices below this cell count,
-# streaming block rebuilds above it.
-_DENSE_CELLS = 6_000_000
+# Anchored search: anchor rows are built and bounded in blocks of _BLOCK
+# anchors, refined into runs of _SUB anchors; the rows of the last
+# _CACHE_RUNS runs the search built are kept.
 _BLOCK = 64
-_CACHE_BLOCKS = 48
-_WF_CELLS = 4_000_000
+_SUB = 16
+_CACHE_RUNS = 64
 
 
 @dataclass(frozen=True)
@@ -374,6 +377,13 @@ class TestStatResult:
     n: int
     d: int
     epsilon: float
+    # anchored-search work: pairs of 64-anchor blocks and of 16-anchor runs
+    # bounded, left anchors scored exactly against a run, and 2-D share
+    # builds; zero at d = 0, where no covariate pair is searched
+    block_pairs_bounded: int = 0
+    sub_pairs_bounded: int = 0
+    rows_expanded: int = 0
+    block_builds: int = 0
 
     def as_record(self) -> dict:
         db = deviation_bounds(self.n, self.d, self.epsilon)
@@ -386,260 +396,272 @@ class TestStatResult:
             "threshold": self.threshold,
             "expected_dev_bound": db.expected_dev_bound,
             "type1_bound": db.type1_bound,
+            "block_pairs_bounded": self.block_pairs_bounded,
+            "sub_pairs_bounded": self.sub_pairs_bounded,
+            "rows_expanded": self.rows_expanded,
+            "block_builds": self.block_builds,
         }
 
 
-def _dir1(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """max over anchor pairs a <= b of u[..., b] - w[..., a]."""
-    wmin = np.minimum.accumulate(w, axis=-1)
-    return (u - wmin).max(axis=-1)
+def _pair_bound(p, q) -> np.ndarray:
+    """Upper bound on |mass([T_a, T_b] x [x_i, x_j])| over a <= b, for
+    right anchors j in a group summarised by p and left anchors i in one
+    summarised by q.
 
-
-def _dir2(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """max over anchor pairs a <= b of w[..., a] - u[..., b]."""
-    umin = np.minimum.accumulate(u[..., ::-1], axis=-1)[..., ::-1]
-    return (w - umin).max(axis=-1)
+    A summary is (le_up, lt_up, le_down, lt_down): for every row of its
+    group and every a <= b, le_up[b] - lt_up[a] bounds the row's mass of
+    [T_a, T_b] from above and le_down[b] - lt_down[a] from below; one exact
+    row is the summary (le, lt, le, lt), and then the bound is the row
+    pair's exact value.  One forward pass gives both signs, u - cummin(w)
+    and cummax(w) - u.  Summaries broadcast against each other over
+    leading axes.
+    """
+    up = (p[0] - q[2]) - np.minimum.accumulate(p[1] - q[3], axis=-1)
+    down = np.maximum.accumulate(p[3] - q[1], axis=-1) - (p[2] - q[0])
+    return np.maximum(up.max(axis=-1), down.max(axis=-1))
 
 
 def _best_time_interval(u: np.ndarray, w: np.ndarray):
     """max over time-anchor pairs a <= b of |mass([T_a, T_b])|, with indices.
 
     u is the inclusive and w the exclusive prefix discrepancy, so the mass
-    of [T_a, T_b] is u[b] - w[a] and both signed directions reduce to
-    running minima.
+    of [T_a, T_b] is u[b] - w[a].
     """
-    w_cummin = np.minimum.accumulate(w)
-    diff1 = u - w_cummin
-    b1 = int(np.argmax(diff1))
-    v1 = float(diff1[b1])
-    a1 = int(np.argmin(w[: b1 + 1]))
-
-    u_revmin = np.minimum.accumulate(u[::-1])[::-1]
-    diff2 = w - u_revmin
-    a2 = int(np.argmax(diff2))
-    v2 = float(diff2[a2])
-    b2 = a2 + int(np.argmin(u[a2:]))
-
-    if v1 >= v2:
-        return v1, (a1, b1)
-    return v2, (a2, b2)
+    up = u - np.minimum.accumulate(w)
+    down = np.maximum.accumulate(w) - u
+    b1 = int(np.argmax(up))
+    b2 = int(np.argmax(down))
+    if up[b1] >= down[b2]:
+        return float(up[b1]), (int(np.argmin(w[: b1 + 1])), b1)
+    return float(down[b2]), (int(np.argmax(w[: b2 + 1])), b2)
 
 
-def _block_ranges(m: int, size: int) -> list:
-    return [(s, min(m, s + size)) for s in range(0, m, size)]
+class _AnchorRows:
+    """Prefix discrepancies at every anchor, built one block at a time.
 
+    For covariate anchor r and time anchor T_k the right side p holds
+    S_p[r, k], the share of records with x <= x_r and time <= T_k (le) or
+    < T_k (lt), minus R_p[r, k], the reference mass of atoms with x <= x_r
+    up to T_k; the left side q holds the same with x < x_r.  The mass of
+    [T_a, T_b] x [x_i, x_j] is p_le[j, b] - q_le[i, b] - (p_lt[j, a] -
+    q_lt[i, a]).  Every anchor is an observed coordinate or an endpoint, so
+    one count matrix serves all four: q's counts are p's one anchor
+    earlier, and counts below T_k are counts up to T_(k-1).
 
-def _seed_stride(m: int) -> np.ndarray:
-    return np.arange(0, m, max(1, -(-m // 64)))
-
-
-class _DenseRows:
-    """Anchor-row matrices held fully in memory (small m*K)."""
-
-    def __init__(self, p_le, p_lt, q_le, q_lt, blocks):
-        self.p_le, self.p_lt, self.q_le, self.q_lt = p_le, p_lt, q_le, q_lt
-        self.blocks = blocks
-        starts = [s for s, _ in blocks]
-        self.ext = {
-            "ple_max": np.maximum.reduceat(p_le, starts, axis=0),
-            "ple_min": np.minimum.reduceat(p_le, starts, axis=0),
-            "plt_max": np.maximum.reduceat(p_lt, starts, axis=0),
-            "plt_min": np.minimum.reduceat(p_lt, starts, axis=0),
-            "qle_max": np.maximum.reduceat(q_le, starts, axis=0),
-            "qle_min": np.minimum.reduceat(q_le, starts, axis=0),
-            "qlt_max": np.maximum.reduceat(q_lt, starts, axis=0),
-            "qlt_min": np.minimum.reduceat(q_lt, starts, axis=0),
-        }
-        idx = _seed_stride(len(p_le))
-        self.seed = (idx, p_le[idx], p_lt[idx], q_le[idx], q_lt[idx])
-
-    def p_block(self, jb: int):
-        s, e = self.blocks[jb]
-        return self.p_le[s:e], self.p_lt[s:e]
-
-    def q_block(self, ib: int):
-        s, e = self.blocks[ib]
-        return self.q_le[s:e], self.q_lt[s:e]
-
-
-class _StreamRows:
-    """Anchor rows rebuilt per block from per-block snapshots.
-
-    Keeps memory at O(blocks * K) for large n: one forward sweep records
-    count/reference state at each block start and the blockwise extreme
-    matrices; the walk stage rebuilds only the blocks it actually visits.
+    Shares at any anchors of a block of _BLOCK are built from the state at
+    the block's start in one 2-D kernel: the block's records are scattered
+    into a rows x (K+1) increment matrix, summed along both axes and added
+    to that state.  One sweep at construction records every block's start
+    state and two kinds of summary (see _pair_bound), so no m x K matrix
+    is held:
+      - per block and per run of _SUB rows, the elementwise envelope of
+        its rows.  While the reference term stays the same the shares only
+        grow, so each extreme is taken at the ends of those stretches.
+      - per run r0..r1, its corners: the mass of [T_a, T_b] grows with the
+        box, so S at r1 minus R at r0 bounds every row's mass from above
+        and S at r0 minus R at r1 from below.  Corners are far tighter
+        than envelopes on runs where the reference stays flat, and far
+        looser on blocks.
+    The search builds the runs it visits and keeps the last _CACHE_RUNS.
+    Builds write into reused buffers, because fresh pages cost more than
+    the arithmetic.
     """
 
-    def __init__(self, n, anchors_t, hi_idx, lo_idx, bin_le, bin_lt,
-                 node_rows, node_w, node_hi, node_lo, theta0, blocks):
-        self.K = len(anchors_t)
-        self.inv_n = 1.0 / n
-        self.anchors_t = anchors_t
-        self.hi_idx, self.lo_idx = hi_idx, lo_idx
-        self.bin_le, self.bin_lt = bin_le, bin_lt
-        self.node_rows, self.node_w = node_rows, node_w
-        self.node_hi, self.node_lo = node_hi, node_lo
-        self.theta0 = theta0
-        self.blocks = blocks
-        self._wf = None
-        if len(node_rows) * self.K <= _WF_CELLS:
-            self._wf = node_w[:, None] * (1.0 - survival_matrix(theta0, node_rows, anchors_t))
-        self.p_snap, self.q_snap = [], []
-        self.ext = {}
-        self._p_cache: OrderedDict = OrderedDict()
-        self._q_cache: OrderedDict = OrderedDict()
+    def __init__(self, times, xs, atoms: QAtoms, theta0: Theta, anchors_t):
+        order = np.argsort(xs, kind="stable")
+        self.anchors_x = np.unique(np.concatenate([[0.0, 1.0], xs]))
+        self.m, self.K = len(self.anchors_x), len(anchors_t)
+        # records below each anchor, then all n; every x is an anchor, so
+        # the records up to and including anchor r are those below r + 1
+        self.rec_pos = np.append(np.searchsorted(xs[order], self.anchors_x), len(xs))
+        self.bins = np.searchsorted(anchors_t, times[order])   # time anchor of each record
+        self.inv_n = 1.0 / len(xs)
+        nodes = atoms.nodes_array()
+        node_order = np.argsort(nodes[:, 0], kind="stable")
+        self.node_rows = nodes[node_order]
+        self.node_w = atoms.weights_array()[node_order]
+        self.node_lo = np.searchsorted(self.node_rows[:, 0], self.anchors_x, side="left")
+        self.node_hi = np.searchsorted(self.node_rows[:, 0], self.anchors_x, side="right")
+        self.node_pos = np.append(self.node_lo, self.node_hi[-1])
+        self.theta0, self.anchors_t = theta0, anchors_t
+        # Summaries bound rows in exact arithmetic.  Computed values can
+        # miss by the rounding of the reference's running sum over up to
+        # every atom, and rebuilt rows can differ from the sweep's in the
+        # last bits, so every bound is raised by this allowance.
+        self.slack = 8.0 * (len(self.node_w) + 8) * np.finfo(float).eps
+        self.builds = 0
+        self.cache: OrderedDict = OrderedDict()
+        self._counts = np.empty((_BLOCK + 1, self.K + 1), np.int64)
+        self._share = np.empty((_BLOCK + 1, self.K + 1))
+        self._ref = np.empty((_BLOCK, self.K))
         self._sweep()
 
-    def _wf_sum(self, a: int, b: int) -> np.ndarray:
-        if self._wf is not None:
-            return self._wf[a:b].sum(axis=0)
-        out = np.zeros(self.K)
-        for c in range(a, b, 512):
-            e = min(b, c + 512)
-            f = 1.0 - survival_matrix(self.theta0, self.node_rows[c:e], self.anchors_t)
-            out += self.node_w[c:e] @ f
-        return out
-
-    def _build(self, block: int, side: str):
-        s, e = self.blocks[block]
-        snap = (self.p_snap if side == "p" else self.q_snap)[block]
-        row_le, row_lt, refrow, pos, npos = snap
-        row_le, row_lt, refrow = row_le.copy(), row_lt.copy(), refrow.copy()
-        anchor_pos = self.hi_idx if side == "p" else self.lo_idx
-        node_pos = self.node_hi if side == "p" else self.node_lo
-        out_le = np.empty((e - s, self.K))
-        out_lt = np.empty((e - s, self.K))
-        for t, j in enumerate(range(s, e)):
-            np_ = int(anchor_pos[j])
-            if np_ > pos:
-                row_le += np.cumsum(np.bincount(self.bin_le[pos:np_], minlength=self.K + 1)[: self.K])
-                row_lt += np.cumsum(np.bincount(self.bin_lt[pos:np_], minlength=self.K + 1)[: self.K])
-                pos = np_
-            nn = int(node_pos[j])
-            if nn > npos:
-                refrow = refrow + self._wf_sum(npos, nn)
-                npos = nn
-            out_le[t] = row_le * self.inv_n - refrow
-            out_lt[t] = row_lt * self.inv_n - refrow
-        return out_le, out_lt, (row_le, row_lt, refrow, pos, npos)
-
     def _sweep(self) -> None:
-        nb = len(self.blocks)
-        m = self.blocks[-1][1]
-        idx = _seed_stride(m)
-        seed_rows = {"p": ([], []), "q": ([], [])}
-        ext = {k: np.empty((nb, self.K)) for k in (
-            "ple_max", "ple_min", "plt_max", "plt_min",
-            "qle_max", "qle_min", "qlt_max", "qlt_min")}
-        for side, snaps, prefix in (("p", self.p_snap, "p"), ("q", self.q_snap, "q")):
-            state = (
-                np.zeros(self.K, dtype=np.int64),
-                np.zeros(self.K, dtype=np.int64),
-                np.zeros(self.K),
-                0,
-                0,
-            )
-            for b in range(nb):
-                snaps.append(state)
-                out_le, out_lt, state = self._build(b, side)
-                ext[f"{prefix}le_max"][b] = out_le.max(axis=0)
-                ext[f"{prefix}le_min"][b] = out_le.min(axis=0)
-                ext[f"{prefix}lt_max"][b] = out_lt.max(axis=0)
-                ext[f"{prefix}lt_min"][b] = out_lt.min(axis=0)
-                s, e = self.blocks[b]
-                local = idx[(idx >= s) & (idx < e)] - s
-                if local.size:
-                    seed_rows[side][0].append(out_le[local])
-                    seed_rows[side][1].append(out_lt[local])
-        self.ext = ext
-        self.seed = (
-            idx,
-            np.concatenate(seed_rows["p"][0]),
-            np.concatenate(seed_rows["p"][1]),
-            np.concatenate(seed_rows["q"][0]),
-            np.concatenate(seed_rows["q"][1]),
-        )
+        """Record every block's start state and the summaries: per side,
+        (4, blocks, K) block envelopes and (4, runs, K) run envelopes and
+        run corners, each in _pair_bound's order."""
+        K, node_lo, node_hi = self.K, self.node_lo, self.node_hi
+        nblock, nrun = -(-self.m // _BLOCK), -(-self.m // _SUB)
+        self.p_block, self.q_block = np.empty((2, 4, nblock, K))
+        self.p_run_env, self.q_run_env = np.empty((2, 4, nrun, K))
+        self.p_run_corner, self.q_run_corner = np.empty((2, 4, nrun, K))
+        self.starts = []
+        state = (np.zeros(K + 1, np.int64), np.zeros(K))
+        for b, s in enumerate(range(0, self.m, _BLOCK)):
+            self.starts.append(state)
+            e = min(self.m, s + _BLOCK)
+            # rows counted from s; p's row r reads share row r + 1, q's row r
+            r0 = np.arange(0, e - s, _SUB)
+            r1 = np.minimum(r0 + _SUB, e - s) - 1
+            runs = slice(s // _SUB, s // _SUB + len(r0))
+            sides = []
+            for node, shift in ((node_hi[s:e], 1), (node_lo[s:e], 0)):
+                # stretches of rows in one run with one reference term:
+                # their last rows, and (one after each last row) their first
+                ends = np.append(node[:-1] != node[1:], True)
+                ends[r1] = True
+                sides.append((node, shift, np.flatnonzero(ends), np.flatnonzero(np.roll(ends, 1))))
+            at = np.unique(np.concatenate(
+                [r + shift for _, shift, end, begin in sides for r in (r0, r1, end, begin)]
+            ))
+            share, ref = self._shares(s, at)
+            state = (self._counts[len(at) - 1].copy(), ref[-1].copy())
+            for (node, shift, end, begin), block_env, run_env, corner in zip(
+                sides, (self.p_block, self.q_block), (self.p_run_env, self.q_run_env),
+                (self.p_run_corner, self.q_run_corner),
+            ):
 
-    def _cached(self, cache: OrderedDict, block: int, side: str):
-        if block in cache:
-            cache.move_to_end(block)
-            return cache[block]
-        out_le, out_lt, _ = self._build(block, side)
-        cache[block] = (out_le, out_lt)
-        if len(cache) > _CACHE_BLOCKS:
-            cache.popitem(last=False)
-        return out_le, out_lt
+                def rows(r_share, r_ref):
+                    """(le, lt) from the shares of rows r_share and the
+                    reference of rows r_ref"""
+                    shares = share[np.searchsorted(at, r_share + shift)]
+                    refs = ref[node[r_ref] - self.node_pos[s]]
+                    return shares[:, 1:] - refs, shares[:, :-1] - refs
 
-    def p_block(self, jb: int):
-        return self._cached(self._p_cache, jb, "p")
+                le_end, lt_end = rows(end, end)
+                le_begin, lt_begin = rows(begin, begin)
+                envelope = ((le_end, end, np.max), (lt_begin, begin, np.min),
+                            (le_begin, begin, np.min), (lt_end, end, np.max))
+                for k, (x, r, reduce) in enumerate(envelope):
+                    # per run; a run's last row fills its short tail
+                    cut = np.append(np.searchsorted(r, r0), len(r))
+                    fill = np.arange(int(np.max(np.diff(cut))))
+                    run_env[k, runs] = reduce(x[np.minimum(cut[:-1, None] + fill, cut[1:, None] - 1)], axis=1)
+                    block_env[k, b] = reduce(run_env[k, runs], axis=0)
+                corner[:, runs] = rows(r1, r0) + rows(r0, r1)
 
-    def q_block(self, ib: int):
-        return self._cached(self._q_cache, ib, "q")
+    def _reference(self, a: int, b: int) -> np.ndarray:
+        """Weighted reference CDF rows of atoms a..b-1."""
+        if a == b:
+            return np.zeros((0, self.K))
+        f = 1.0 - survival_matrix(self.theta0, self.node_rows[a:b], self.anchors_t)
+        return self.node_w[a:b, None] * f
+
+    def _shares(self, start: int, at: np.ndarray):
+        """Shares S at the anchors start + at of the block beginning at
+        anchor start (at increasing), and the running reference R over the
+        block's atoms from node_pos[start] up to the last of those anchors."""
+        self.builds += 1
+        counts0, ref0 = self.starts[start // _BLOCK]
+        pos = self.rec_pos[start + at]
+        records = np.arange(self.rec_pos[start], pos[-1])
+        counts = self._counts[: len(at)]
+        counts.fill(0)
+        np.add.at(counts, (np.searchsorted(pos, records, side="right"), self.bins[records] + 1), 1)
+        np.cumsum(counts, axis=0, out=counts)
+        np.cumsum(counts, axis=1, out=counts)
+        counts += counts0
+        share = np.multiply(counts, self.inv_n, out=self._share[: len(at)])
+        atoms = self._reference(self.node_pos[start], self.node_pos[start + at[-1]])
+        return share, np.cumsum(np.vstack([ref0, atoms]), axis=0)
+
+    def rows(self, side: str, run: int):
+        """(le, lt) rows of one side ("p" or "q") for one run of _SUB
+        anchors.  The rows returned by the last two calls stay valid: a
+        build overwrites only the least recently used of at least two
+        cached runs."""
+        key = (side, run)
+        s, e = run * _SUB, min(self.m, run * _SUB + _SUB)
+        if key in self.cache:
+            self.cache.move_to_end(key)
+        else:
+            out = (self.cache.popitem(last=False)[1] if len(self.cache) >= _CACHE_RUNS
+                   else np.empty((2, _SUB, self.K)))
+            start = s - s % _BLOCK
+            share, ref = self._shares(start, np.arange(s - start, e - start + 1))
+            node, shifted = (self.node_hi, share[1:]) if side == "p" else (self.node_lo, share[:-1])
+            # indices are in range by construction; "clip" skips the
+            # buffered bounds check that out= would otherwise cost
+            gathered = np.take(ref, node[s:e] - self.node_pos[start], axis=0,
+                               out=self._ref[: e - s], mode="clip")
+            np.subtract(shifted[:, 1:], gathered, out=out[0, : e - s])
+            np.subtract(shifted[:, :-1], gathered, out=out[1, : e - s])
+            self.cache[key] = out
+        le, lt = self.cache[key][:, : e - s]
+        return le, lt
 
 
-def _pair_bounds(ext: dict, nb: int) -> np.ndarray:
-    """Upper bound on the exact value for every (i-block, j-block) pair."""
-    bounds = np.full((nb, nb), -np.inf)
-    for jb in range(nb):
-        ub = ext["ple_max"][jb][None, :] - ext["qle_min"][: jb + 1]
-        wb = ext["plt_min"][jb][None, :] - ext["qlt_max"][: jb + 1]
-        v1 = _dir1(ub, wb)
-        ub2 = ext["ple_min"][jb][None, :] - ext["qle_max"][: jb + 1]
-        wb2 = ext["plt_max"][jb][None, :] - ext["qlt_min"][: jb + 1]
-        v2 = _dir2(ub2, wb2)
-        bounds[: jb + 1, jb] = np.maximum(v1, v2)
-    return bounds
+def _anchored_search(rows: _AnchorRows):
+    """Best-first branch and bound over anchor pairs i <= j; returns the
+    best value, (i*, j*) and the search counters.
 
-
-def _anchored_search(provider, blocks) -> tuple:
-    """Branch-and-bound walk over anchor-block pairs; returns (i*, j*).
-
-    A strided exact pass seeds the incumbent first, so most block pairs
-    prune on their envelope bound without being expanded.
+    Every pair of blocks of _BLOCK anchors is bounded from envelopes first;
+    a block pair above the incumbent is split into its pairs of runs of
+    _SUB anchors, bounded from corners; a run pair into its left rows,
+    each bounded exactly on the left and from the right run's corners,
+    then its envelope; and a row is expanded exactly against the run's
+    right rows.  Nodes leave a
+    heap in order of bound, so only nodes whose bound exceeds the final
+    maximum are ever split or expanded.  Every bound carries the rows'
+    rounding allowance, so the result is the largest computed pair value.
     """
-    ext = provider.ext
-    nb = len(blocks)
-    bounds = _pair_bounds(ext, nb)
-    order = np.argsort(bounds, axis=None)[::-1]
-    flat = bounds.ravel()
-    best_val = -np.inf
-    best_pair = None
-    idx, sp_le, sp_lt, sq_le, sq_lt = provider.seed
-    for a in range(len(idx)):
-        u = sp_le[a:] - sq_le[a]
-        w = sp_lt[a:] - sq_lt[a]
-        vals = np.maximum(_dir1(u, w), _dir2(u, w))
-        jj = int(np.argmax(vals))
-        if vals[jj] > best_val:
-            best_val = float(vals[jj])
-            best_pair = (int(idx[a]), int(idx[a + jj]))
-    for pos in order:
-        if flat[pos] <= best_val:
-            break
-        ib, jb = divmod(int(pos), nb)
-        p_le, p_lt = provider.p_block(jb)
-        q_le, q_lt = provider.q_block(ib)
-        js, je = blocks[jb]
-        is_, _ = blocks[ib]
-        ub = ext["ple_max"][jb][None, :] - q_le
-        wb = ext["plt_min"][jb][None, :] - q_lt
-        ub2 = ext["ple_min"][jb][None, :] - q_le
-        wb2 = ext["plt_max"][jb][None, :] - q_lt
-        row_bound = np.maximum(_dir1(ub, wb), _dir2(ub2, wb2))
-        j_global = np.arange(js, je)
-        for ii in np.argsort(row_bound)[::-1]:
-            if row_bound[ii] <= best_val:
-                break
-            i_g = is_ + int(ii)
-            u = p_le - q_le[ii]
-            w = p_lt - q_lt[ii]
-            vals = np.maximum(_dir1(u, w), _dir2(u, w))
-            vals[j_global < i_g] = -np.inf
+    per = _BLOCK // _SUB
+    nrun = rows.p_run_corner.shape[1]
+
+    def bound(p, q):
+        return _pair_bound(p, q) + rows.slack
+
+    heap = []
+    for jb in range(rows.p_block.shape[1]):
+        bounds = bound(rows.p_block[:, jb], rows.q_block[:, : jb + 1])
+        heap.extend((-float(v), 0, ib, jb) for ib, v in enumerate(bounds))
+    heapq.heapify(heap)
+    counts = {"block_pairs_bounded": len(heap), "sub_pairs_bounded": 0, "rows_expanded": 0}
+    best, pair = -np.inf, None
+    while heap and -heap[0][0] > best:
+        _, level, i, j = heapq.heappop(heap)
+        if level == 0:
+            iruns = np.arange(i * per, min(nrun, i * per + per))
+            jruns = np.arange(j * per, min(nrun, j * per + per))
+            bounds = bound(rows.p_run_corner[:, None, jruns], rows.q_run_corner[:, iruns, None])
+            counts["sub_pairs_bounded"] += bounds.size
+            for a, b in zip(*np.nonzero((bounds > best) & (iruns[:, None] <= jruns[None]))):
+                heapq.heappush(heap, (-float(bounds[a, b]), 1, int(iruns[a]), int(jruns[b])))
+        elif level == 1:
+            q_le, q_lt = rows.rows("q", i)
+            bounds = bound(rows.p_run_corner[:, j], (q_le, q_lt, q_le, q_lt))
+            live = np.flatnonzero(bounds > best)
+            if live.size:
+                # the envelope is the tighter summary where the reference
+                # moves inside the run, as it does at every anchor under NRD
+                le, lt = q_le[live], q_lt[live]
+                bounds[live] = np.minimum(
+                    bounds[live], bound(rows.p_run_env[:, j], (le, lt, le, lt))
+                )
+            for r in np.nonzero(bounds > best)[0]:
+                heapq.heappush(heap, (-float(bounds[r]), 2, i * _SUB + int(r), j))
+        else:
+            counts["rows_expanded"] += 1
+            q_le, q_lt = rows.rows("q", i // _SUB)
+            q_le, q_lt = q_le[i % _SUB], q_lt[i % _SUB]
+            p_le, p_lt = rows.rows("p", j)
+            vals = _pair_bound((p_le, p_lt, p_le, p_lt), (q_le, q_lt, q_le, q_lt))
+            vals[np.arange(j * _SUB, j * _SUB + len(vals)) < i] = -np.inf
             jj = int(np.argmax(vals))
-            if vals[jj] > best_val:
-                best_val = float(vals[jj])
-                best_pair = (i_g, js + jj)
-    return best_val, best_pair
+            if vals[jj] > best:
+                best, pair = float(vals[jj]), (i, j * _SUB + jj)
+    counts["block_builds"] = rows.builds
+    return best, pair, counts
 
 
 def _reference_atoms(dataset: SurvivalDataset, q_grid) -> QAtoms:
@@ -667,10 +689,15 @@ def test_statistic(dataset: SurvivalDataset, theta0: Theta, design: str, q_grid,
 
     Anchors are the observed coordinates plus the domain endpoints on each
     axis; the rejection threshold is epsilon / 4.  The time axis is swept
-    exactly per covariate box via prefix discrepancies; covariate anchor
-    pairs are searched by branch and bound with blockwise envelope bounds,
-    so the result is the exact anchored maximum without enumerating all
-    pairs.
+    exactly per covariate box via prefix discrepancies.  At d = 1 the
+    covariate anchor pairs are searched best first: every pair of blocks
+    of 64 anchors is bounded from elementwise envelopes, a block pair above
+    the incumbent is split into pairs of runs of 16 anchors bounded from
+    their corner rows, then into single left anchors, and only a row whose
+    bound still exceeds the incumbent is scored exactly.  Each bound costs
+    O(K) per pair for K time anchors, and anchor rows are rebuilt per
+    block, so no m x K matrix is held.  The result is the exact anchored
+    maximum; the counters of this work are returned with it.
     """
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
@@ -708,63 +735,20 @@ def test_statistic(dataset: SurvivalDataset, theta0: Theta, design: str, q_grid,
     if d > 1:
         raise DomainError("the anchored statistic supports d <= 1; use the metric for d = 2")
 
-    xs = dataset.covariates_array()[:, 0]
-    order = np.argsort(xs, kind="stable")
-    xs_sorted = xs[order]
-    t_by_x = times[order]
-    anchors_x = np.unique(np.concatenate([[0.0, 1.0], xs]))
-    m = len(anchors_x)
-    lo_idx = np.searchsorted(xs_sorted, anchors_x, side="left")
-    hi_idx = np.searchsorted(xs_sorted, anchors_x, side="right")
-
-    nodes = atoms.nodes_array()
-    node_order = np.argsort(nodes[:, 0], kind="stable")
-    node_rows = nodes[node_order]
-    node_w = atoms.weights_array()[node_order]
-    node_hi = np.searchsorted(node_rows[:, 0], anchors_x, side="right")
-    node_lo = np.searchsorted(node_rows[:, 0], anchors_x, side="left")
-
-    blocks = _block_ranges(m, _BLOCK)
-    if m * K <= _DENSE_CELLS:
-        le = np.cumsum(t_by_x[:, None] <= anchors_t[None, :], axis=0, dtype=np.int32)
-        cnt_le = np.vstack([np.zeros((1, K), np.int32), le])
-        lt = np.cumsum(t_by_x[:, None] < anchors_t[None, :], axis=0, dtype=np.int32)
-        cnt_lt = np.vstack([np.zeros((1, K), np.int32), lt])
-        wf = node_w[:, None] * (1.0 - survival_matrix(theta0, node_rows, anchors_t))
-        ref_pref = np.vstack([np.zeros((1, K)), np.cumsum(wf, axis=0)])
-        ref_le = ref_pref[node_hi]
-        ref_lt = ref_pref[node_lo]
-        inv_n = 1.0 / n
-        provider = _DenseRows(
-            p_le=cnt_le[hi_idx] * inv_n - ref_le,
-            p_lt=cnt_lt[hi_idx] * inv_n - ref_le,
-            q_le=cnt_le[lo_idx] * inv_n - ref_lt,
-            q_lt=cnt_lt[lo_idx] * inv_n - ref_lt,
-            blocks=blocks,
-        )
-    else:
-        bin_le = np.searchsorted(anchors_t, t_by_x, side="left")
-        bin_lt = np.searchsorted(anchors_t, t_by_x, side="right")
-        provider = _StreamRows(
-            n, anchors_t, hi_idx, lo_idx, bin_le, bin_lt,
-            node_rows, node_w, node_hi, node_lo, theta0, blocks,
-        )
-
-    best_val, (i_star, j_star) = _anchored_search(provider, blocks)
+    rows = _AnchorRows(times, dataset.covariates_array()[:, 0], atoms, theta0, anchors_t)
+    _, (i_star, j_star), counts = _anchored_search(rows)
 
     # recover the maximizing time interval from the winning anchor pair
-    ib = next(b for b, (s, e) in enumerate(blocks) if s <= i_star < e)
-    jb = next(b for b, (s, e) in enumerate(blocks) if s <= j_star < e)
-    p_le, p_lt = provider.p_block(jb)
-    q_le, q_lt = provider.q_block(ib)
-    u = p_le[j_star - blocks[jb][0]] - q_le[i_star - blocks[ib][0]]
-    w = p_lt[j_star - blocks[jb][0]] - q_lt[i_star - blocks[ib][0]]
-    value, (ka, kb) = _best_time_interval(u, w)
+    p_le, p_lt = rows.rows("p", j_star // _SUB)
+    q_le, q_lt = rows.rows("q", i_star // _SUB)
+    value, (ka, kb) = _best_time_interval(
+        p_le[j_star % _SUB] - q_le[i_star % _SUB], p_lt[j_star % _SUB] - q_lt[i_star % _SUB]
+    )
     rect = Rectangle(
         time=(anchors_t[ka], anchors_t[kb]),
-        box=((anchors_x[i_star], anchors_x[j_star]),),
+        box=((rows.anchors_x[i_star], rows.anchors_x[j_star]),),
     )
     return TestStatResult(
         sup_dev=value, threshold=threshold, phi=int(value > threshold),
-        argmax=rect, n=n, d=d, epsilon=epsilon,
+        argmax=rect, n=n, d=d, epsilon=epsilon, **counts,
     )

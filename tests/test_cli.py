@@ -307,6 +307,10 @@ class TestRun:
         report = json.loads((dirs[0] / "report.json").read_text())
         assert report["phi"] == 0
         assert report["sup_dev"] <= report["threshold"]
+        # n = 400 gives 402 covariate anchors: seven blocks of 64
+        assert report["block_pairs_bounded"] == 7 * 8 // 2
+        assert 0 < report["rows_expanded"] <= report["sub_pairs_bounded"] * 16
+        assert report["block_builds"] >= 7
 
     def test_test_stat_reads_ingested_file(self, tmp_path):
         theta0 = Theta.constant(2.0, 0, 10.0)
@@ -397,6 +401,27 @@ class TestRun:
         assert status == 2
         assert report["spearman"] is None
         assert report["consistent_trend"] is False
+
+    def test_consistency_reports_chain_warnings(self, tmp_path):
+        # the dead omega block of test_inference: log-scale steps of sd 60
+        doc = {
+            "command": "consistency",
+            "parameters": {
+                "n_ladder": [300], "replications": 1, "horizon": 10.0, "knots": 4,
+                "iterations": 3100, "burn_in": 100, "thinning": 2,
+                "proposal_scale_omega": 60.0, "proposal_scale_path": 0.999,
+                "metric_time_knots": 17,
+            },
+        }
+        _, dirs = run_doc(tmp_path, doc)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject)
+        (cell,) = report["warnings"]
+        assert (cell["n"], cell["rep"]) == (300, 0)
+        assert any("omega acceptance rate" in w and "below 1%" in w for w in cell["messages"])
 
     def test_execution_error_gives_status_one(self, tmp_path, capsys):
         doc = {

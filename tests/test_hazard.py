@@ -41,28 +41,32 @@ def random_theta(seed, d=1, omega=2.0, horizon=8.0, level=5):
     return Theta(omega, paths)
 
 
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+GL_NODES, GL_WEIGHTS = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W   # 20-point rule on [0, 1]
+
+
+def gl_mean_sigmoid(a, b):
+    """Mean of sigmoid along the segments from a to b by Gauss-Legendre
+    quadrature.  It takes no difference of softplus values, so near-flat
+    segments lose no digits; sigmoid is smooth enough on the segments of
+    these tests (|b - a| <= 1 or so) for 20 nodes to reach rounding."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return expit(a[..., None] + (b - a)[..., None] * GL_NODES) @ GL_WEIGHTS
+
+
 def softplus_cdf(theta, xs, ts):
-    """1 - S_x(t) per row from the exact integral of a sigmoid over each
-    linear piece of Y = eta_0 + x . eta: width (softplus(b) - softplus(a)) / (b - a)."""
+    """1 - S_x(t) per row: the integral of a sigmoid over each linear piece
+    of Y = eta_0 + x . eta, by quadrature, independent of hazard's closed form."""
     knots = theta.grid.as_array()
     y = np.stack([np.asarray(p.values) for p in theta.paths])
     yk = np.concatenate([np.ones((len(xs), 1)), xs], axis=1) @ y
-
-    def piece(a, b, width):
-        diff = b - a
-        small = np.abs(diff) < 1e-9
-        slope = (np.logaddexp(0.0, b) - np.logaddexp(0.0, a)) / np.where(small, 1.0, diff)
-        return width * np.where(small, expit(0.5 * (a + b)), slope)
-
-    cum = np.concatenate(
-        [np.zeros((len(xs), 1)), np.cumsum(piece(yk[:, :-1], yk[:, 1:], np.diff(knots)), axis=1)],
-        axis=1,
-    )
+    whole = np.diff(knots) * gl_mean_sigmoid(yk[:, :-1], yk[:, 1:])
+    cum = np.concatenate([np.zeros((len(xs), 1)), np.cumsum(whole, axis=1)], axis=1)
     rows = np.arange(len(xs))
     i = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, len(knots) - 2)
     frac = (ts - knots[i]) / (knots[i + 1] - knots[i])
     y_t = yk[rows, i] + frac * (yk[rows, i + 1] - yk[rows, i])
-    lam = theta.omega * (cum[rows, i] + piece(yk[rows, i], y_t, ts - knots[i]))
+    lam = theta.omega * (cum[rows, i] + (ts - knots[i]) * gl_mean_sigmoid(yk[rows, i], y_t))
     return -np.expm1(-lam)
 
 
@@ -218,6 +222,13 @@ class TestClosedForm:
         got = _mean_sigmoid(y0, y1, _softplus_tail(y0), _softplus_tail(y1))
         want = [mp_mean_sigmoid(a, b) for a, b in zip(y0, y1)]
         assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("step", [1e-8, 1e-6, 1e-4, 1.0])
+    def test_quadrature_oracle_matches_mpmath(self, step):
+        # the oracle behind softplus_cdf, on near-flat and unit segments
+        y0 = np.linspace(-30.0, 30.0, 97)
+        want = [mp_mean_sigmoid(a, a + step) for a in y0]
+        assert_allclose(gl_mean_sigmoid(y0, y0 + step), want, rtol=1e-13, atol=0.0)
 
     def test_mean_sigmoid_wide_segments(self):
         y0 = np.array([-30.0, 30.0, -30.0, 0.0, 12.5])

@@ -615,7 +615,7 @@ class TestConsistencyExperiment:
     def test_report_record(self):
         cells = (
             CellResult(10, 0, 0.5, 0.3, 0.4, 0.01),
-            CellResult(40, 0, 0.1, 0.3, 0.4, 0.02),
+            CellResult(40, 0, 0.1, 0.3, 0.4, 0.02, warnings=("omega acceptance rate low",)),
         )
         report = ExperimentReport(
             cells=cells,
@@ -632,4 +632,6 @@ class TestConsistencyExperiment:
             "per_n": {"10": 0.5, "40": 0.1},
             "cells": 2,
             "failures": 0,
+            "warnings": [{"n": 40, "rep": 0, "messages": ["omega acceptance rate low"]}],
         }
+

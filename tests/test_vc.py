@@ -378,6 +378,49 @@ def brute_anchored(dataset, theta0, atoms, anchors_x=None, anchors_t=None):
     return best
 
 
+def anchored_pair_values(dataset, theta0, atoms):
+    """Best |mass| over time-anchor pairs for every covariate anchor pair
+    i <= j (-inf below the diagonal), by prefix sums in O(m^2 K).
+
+    Shares nothing with the library's search: record counts come from one
+    2-D histogram over (x anchor, time anchor) summed along both axes, the
+    reference from the atoms' CDFs, and each box [x_i, x_j] is scored over
+    all time-anchor pairs a <= b by running extremes.
+    """
+    times = dataset.times_array()
+    xs = dataset.covariates_array()[:, 0]
+    anchors_t = np.unique(np.concatenate([[0.0, theta0.horizon], times]))
+    anchors_x = np.unique(np.concatenate([[0.0, 1.0], xs]))
+    m, K = len(anchors_x), len(anchors_t)
+    hist = np.zeros((m + 1, K + 1))
+    np.add.at(hist, (np.searchsorted(anchors_x, xs) + 1, np.searchsorted(anchors_t, times) + 1), 1.0)
+    cum = hist.cumsum(axis=0).cumsum(axis=1) / dataset.n
+    # cum[r, k]: share with x below anchor r and time below anchor k
+    le, lt = cum[:, 1:], cum[:, :-1]
+    node_x = atoms.nodes_array()[:, 0]
+    wf = atoms.weights_array()[:, None] * (1.0 - survival_matrix(theta0, atoms.nodes_array(), anchors_t))
+    ref_le = (node_x[None, :] <= anchors_x[:, None]).astype(float) @ wf
+    ref_lt = (node_x[None, :] < anchors_x[:, None]).astype(float) @ wf
+    values = np.full((m, m), -np.inf)
+    for i in range(m):
+        ref = ref_le[i:] - ref_lt[i]
+        u = le[i + 1:] - le[i] - ref   # mass of [0, T_b] in [x_i, x_j], j >= i
+        w = lt[i + 1:] - lt[i] - ref   # mass of [0, T_a)
+        up = u - np.minimum.accumulate(w, axis=1)
+        down = np.maximum.accumulate(w, axis=1) - u
+        values[i, i:] = np.maximum(up.max(axis=1), down.max(axis=1))
+    return values
+
+
+def enumerate_anchored(dataset, theta0, atoms):
+    """The anchored supremum as the largest of anchored_pair_values."""
+    return float(anchored_pair_values(dataset, theta0, atoms).max())
+
+
+# rows expanded by the search on the pruning guard's dataset: 3 when set
+ROWS_EXPANDED_CEILING = 64
+
+
 class TestStatistic:
     def _uniform_dataset(self, theta0, n, seed):
         return generate_dataset(theta0, n, "RD", UniformQ(1), horizon=theta0.horizon, seed=seed)
@@ -388,7 +431,9 @@ class TestStatistic:
         ds = self._uniform_dataset(theta0, n, seed=100 + n)
         atoms = q_atoms_from_law(UniformQ(1))
         res = anchored_statistic(ds, theta0, "RD", atoms, epsilon=0.2)
-        assert_allclose(res.sup_dev, brute_anchored(ds, theta0, atoms), atol=1e-10)
+        brute = brute_anchored(ds, theta0, atoms)
+        assert_allclose(res.sup_dev, brute, atol=1e-10)
+        assert_allclose(enumerate_anchored(ds, theta0, atoms), brute, atol=1e-12)
         assert res.phi == int(res.sup_dev > 0.05)
 
     def test_matches_brute_force_nrd(self):
@@ -449,24 +494,91 @@ class TestStatistic:
         assert res1.phi == 1
         assert abs(res1.sup_dev - 0.25) < 0.06
 
-    def test_streaming_matches_dense(self, monkeypatch):
-        theta0 = Theta.constant(omega=2.0, d=1, horizon=12.0)
-        ds = self._uniform_dataset(theta0, 400, seed=9)
-        dense = anchored_statistic(ds, theta0, "RD", None, epsilon=0.2)
-        monkeypatch.setattr(vc, "_DENSE_CELLS", 0)
-        streamed = anchored_statistic(ds, theta0, "RD", None, epsilon=0.2)
-        assert_allclose(streamed.sup_dev, dense.sup_dev, atol=1e-9)
-        assert streamed.phi == dense.phi
+    @pytest.mark.parametrize("case", ["rd_null", "rd_alternative", "nrd", "one_row_tail", "ties"])
+    def test_matches_prefix_sum_enumeration(self, case):
+        # m = n + 2 anchors: 302 is a multiple of neither block size, and
+        # 321 = 5 * 64 + 1 leaves a one-row last block and last run
+        theta0 = random_theta(d=1, seed=64, omega=2.0)
+        if case == "rd_null":
+            ds = self._uniform_dataset(theta0, 300, seed=31)
+        elif case == "rd_alternative":
+            truth = random_theta(d=1, seed=65, omega=4.0)
+            ds = generate_dataset(truth, 300, "RD", UniformQ(1), horizon=truth.horizon, seed=32)
+        elif case == "nrd":
+            rows = np.random.default_rng(33).random((300, 1))
+            ds = generate_dataset(theta0, 300, "NRD", rows, horizon=theta0.horizon, seed=34)
+        elif case == "one_row_tail":
+            theta0 = Theta.constant(omega=2.0, d=1, horizon=12.0)
+            ds = self._uniform_dataset(theta0, 319, seed=35)
+        else:
+            base = self._uniform_dataset(theta0, 300, seed=36)
+            xs = np.round(base.covariates_array()[:, 0] * 40.0) / 40.0
+            times = np.minimum(np.round(base.times_array() * 20.0) / 20.0, theta0.horizon)
+            ds = SurvivalDataset(
+                times=tuple(times.tolist()), covariates=tuple((v,) for v in xs.tolist()),
+                design="RD", q_descriptor=base.q_descriptor, horizon=base.horizon,
+            )
+            assert len(np.unique(xs)) < 50 and len(np.unique(times)) < 100
+        res = anchored_statistic(ds, theta0, ds.design, None, epsilon=0.2)
+        atoms = vc._reference_atoms(ds, None)
+        assert_allclose(res.sup_dev, enumerate_anchored(ds, theta0, atoms), atol=1e-10)
+        emp = empirical_measure(ds, res.argmax)
+        ref = measure_mu(theta0, res.argmax, ds.design, atoms)
+        assert_allclose(abs(emp - ref), res.sup_dev, atol=1e-10)
 
-    def test_streaming_chunked_reference(self, monkeypatch):
-        theta0 = Theta.constant(omega=2.0, d=1, horizon=12.0)
-        rows = np.random.default_rng(11).random((300, 1))
-        ds = generate_dataset(theta0, 300, "NRD", rows, horizon=12.0, seed=12)
-        dense = anchored_statistic(ds, theta0, "NRD", None, epsilon=0.2)
-        monkeypatch.setattr(vc, "_DENSE_CELLS", 0)
-        monkeypatch.setattr(vc, "_WF_CELLS", 0)
-        streamed = anchored_statistic(ds, theta0, "NRD", None, epsilon=0.2)
-        assert_allclose(streamed.sup_dev, dense.sup_dev, atol=1e-9)
+    @pytest.mark.parametrize("design, cells", [("RD", 64), ("RD", 2), ("NRD", None)])
+    def test_every_bound_covers_its_pairs(self, design, cells):
+        # 152 anchors: three blocks of 64, ten runs of 16, the last short.
+        # With two atoms the reference is flat across most runs, where
+        # summaries are tightest; under NRD it changes at every anchor.
+        theta0 = random_theta(d=1, seed=66, omega=2.0)
+        rows_x = np.random.default_rng(37).random((150, 1))
+        q = UniformQ(1) if design == "RD" else rows_x
+        ds = generate_dataset(theta0, 150, design, q, horizon=theta0.horizon, seed=38)
+        atoms = vc.resolve_atoms(design, q, cells)
+        values = anchored_pair_values(ds, theta0, atoms)
+        anchors_t = np.unique(np.concatenate([[0.0, theta0.horizon], ds.times_array()]))
+        rows = vc._AnchorRows(ds.times_array(), ds.covariates_array()[:, 0], atoms, theta0, anchors_t)
+        m, block, run = len(values), vc._BLOCK, vc._SUB
+        runs = -(-m // run)
+
+        def covers(bound, i0, i1, j0, j1):
+            assert bound + rows.slack >= values[i0:i1, j0:j1].max()
+
+        # envelopes are the elementwise extremes of their rows
+        for side, block_env, run_env in (("p", rows.p_block, rows.p_run_env),
+                                         ("q", rows.q_block, rows.q_run_env)):
+            built = [rows.rows(side, r) for r in range(runs)]
+            le_all = np.concatenate([x[0] for x in built])
+            lt_all = np.concatenate([x[1] for x in built])
+            for size, env in ((block, block_env), (run, run_env)):
+                for g in range(env.shape[1]):
+                    le, lt = le_all[g * size: g * size + size], lt_all[g * size: g * size + size]
+                    extremes = (le.max(axis=0), lt.min(axis=0), le.min(axis=0), lt.max(axis=0))
+                    for got, want in zip(env, extremes):
+                        assert_allclose(got[g], want, rtol=0.0, atol=rows.slack)
+        # every bound the search takes covers the pairs it stands for
+        for size, p, q in ((block, rows.p_block, rows.q_block),
+                           (run, rows.p_run_corner, rows.q_run_corner)):
+            for jg in range(-(-m // size)):
+                for ig in range(jg + 1):
+                    bound = vc._pair_bound(p[:, jg], q[:, ig])
+                    covers(bound, ig * size, ig * size + size, jg * size, jg * size + size)
+        for i in range(m):
+            le, lt = (x[i % run] for x in rows.rows("q", i // run))
+            for jr in range(i // run, runs):
+                for p in (rows.p_run_corner, rows.p_run_env):
+                    bound = vc._pair_bound(p[:, jr], (le, lt, le, lt))
+                    covers(bound, i, i + 1, jr * run, jr * run + run)
+
+    def test_pruning_ceiling(self):
+        # counts repeat exactly, so this guards pruning without a clock:
+        # the search this one replaced expanded 1360 rows on this dataset
+        theta0 = Theta.constant(2.0, 1, 20.0)
+        ds = generate_dataset(theta0, 2000, "RD", UniformQ(1), horizon=20.0, seed=2)
+        res = anchored_statistic(ds, theta0, "RD", None, epsilon=0.3)
+        assert res.rows_expanded <= ROWS_EXPANDED_CEILING
+        assert res.block_pairs_bounded == 32 * 33 // 2
 
     def test_argmax_rectangle_reproduces_value(self):
         theta0 = Theta.constant(omega=2.0, d=1, horizon=12.0)
@@ -483,7 +595,9 @@ class TestStatistic:
         assert set(rec) == {
             "n", "d", "epsilon", "sup_dev", "phi", "threshold",
             "expected_dev_bound", "type1_bound",
+            "block_pairs_bounded", "sub_pairs_bounded", "rows_expanded", "block_builds",
         }
+        assert rec["block_pairs_bounded"] == 1 and rec["block_builds"] >= 1
         assert rec["n"] == 50
         assert rec["threshold"] == 0.05
 
