@@ -436,6 +436,7 @@ class BoundReport:
     mc_estimate: float
     ci: float
     verdict: str
+    jitter: float  # Cholesky jitter of the comparator's path sampler
 
     def as_record(self) -> dict:
         return {
@@ -444,7 +445,13 @@ class BoundReport:
             "mc_estimate": self.mc_estimate,
             "ci": self.ci,
             "verdict": self.verdict,
+            "jitter": self.jitter,
         }
+
+
+def _report(lemma_id: str, analytic_value: float, rep, ok: bool) -> BoundReport:
+    return BoundReport(lemma_id, analytic_value, rep.p_joint, rep.ci_halfwidth,
+                       "pass" if ok else "fail", rep.jitter)
 
 
 def compare_tail_bound(
@@ -479,13 +486,7 @@ def compare_tail_bound(
         seed=seed,
     )
     ok = rep.p_joint <= series.value + 3.0 * rep.ci_halfwidth
-    return BoundReport(
-        lemma_id="tail_series",
-        analytic_value=series.value,
-        mc_estimate=rep.p_joint,
-        ci=rep.ci_halfwidth,
-        verdict="pass" if ok else "fail",
-    )
+    return _report("tail_series", series.value, rep, ok)
 
 
 def compare_small_ball(
@@ -516,13 +517,7 @@ def compare_small_ball(
         seed=seed,
     )
     ok = rep.p_joint >= sb.bound - 3.0 * rep.ci_halfwidth
-    return BoundReport(
-        lemma_id="small_ball",
-        analytic_value=sb.bound,
-        mc_estimate=rep.p_joint,
-        ci=rep.ci_halfwidth,
-        verdict="pass" if ok else "fail",
-    )
+    return _report("small_ball", sb.bound, rep, ok)
 
 
 def compare_centred_event(
@@ -560,10 +555,4 @@ def compare_centred_event(
         seed=seed,
     )
     ok = rep.p_joint >= ce.lower - 3.0 * rep.ci_halfwidth
-    return BoundReport(
-        lemma_id="centred_event",
-        analytic_value=ce.lower,
-        mc_estimate=rep.p_joint,
-        ci=rep.ci_halfwidth,
-        verdict="pass" if ok else "fail",
-    )
+    return _report("centred_event", ce.lower, rep, ok)

@@ -1,17 +1,21 @@
 """Gaussian process paths on time grids.
 
-Paths are sampled exactly on a finite grid from the kernel's covariance
-matrix.  The module also provides the decaying weight h_d used to damp
-paths at large times, the dyadic chaining upper bound for the sup of a
-path, and Monte Carlo estimates of sup-functional event probabilities
-with binomial confidence intervals.
+Paths are sampled exactly on a finite grid from the Cholesky factor of
+the kernel's covariance matrix, cached per (kernel, grid).  Batches of
+paths come from one block loop that multiplies each block of normals in
+place by the triangular factor.  The module also provides the decaying
+weight h_d used to damp paths at large times, the dyadic chaining upper
+bound for the sup of a path, and Monte Carlo estimates of sup-functional
+event probabilities with binomial confidence intervals.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 
 from .errors import DomainError, NumericError
 from .kernels import StationaryKernel
@@ -137,22 +141,29 @@ def transform_hat(path: GpPath, d: int) -> GpPath:
 # -- exact sampling on a grid ------------------------------------------------
 
 
-def _covariance_cholesky(kernel: StationaryKernel, points: np.ndarray) -> np.ndarray:
-    """Cholesky factor of the grid covariance, with escalating jitter."""
-    diff = np.abs(points[:, None] - points[None, :])
-    cov = np.asarray(kernel(diff), dtype=float)
+@functools.lru_cache(maxsize=4)  # a 513-point factor is 2 MiB, a 4097-point one 128 MiB
+def _grid_factor(kernel: StationaryKernel, points: tuple) -> tuple:
+    pts = np.asarray(points)
+    cov = np.asarray(kernel(np.abs(pts[:, None] - pts[None, :])), dtype=float)
     if not np.all(np.isfinite(cov)):
         raise NumericError(f"covariance of {kernel.describe()} not finite on the grid")
     jitter = JITTER_FACTOR * kernel.kappa0
-    for attempt in range(JITTER_ESCALATIONS + 1):
+    for used in (jitter * 10.0 ** attempt for attempt in range(JITTER_ESCALATIONS + 1)):
         try:
-            return np.linalg.cholesky(cov + (jitter * 10.0 ** attempt) * np.eye(len(points)))
+            chol = np.linalg.cholesky(cov + used * np.eye(len(pts)))
         except np.linalg.LinAlgError:
             continue
+        chol.flags.writeable = False
+        return chol, used
     raise NumericError(
         f"covariance factorization failed for {kernel.describe()} after "
         f"{JITTER_ESCALATIONS} jitter escalations from {jitter:g}"
     )
+
+
+def _covariance_cholesky(kernel: StationaryKernel, points) -> tuple:
+    """(Cholesky factor of the grid covariance, jitter used), cached; the factor is read-only."""
+    return _grid_factor(kernel, tuple(np.asarray(points, dtype=float).tolist()))
 
 
 def sample_path(kernel: StationaryKernel, grid: TimeGrid, seed: int) -> GpPath:
@@ -160,10 +171,25 @@ def sample_path(kernel: StationaryKernel, grid: TimeGrid, seed: int) -> GpPath:
 
     Deterministic in (kernel, grid, seed).
     """
-    points = grid.as_array()
-    chol = _covariance_cholesky(kernel, points)
-    z = np.random.default_rng(seed).standard_normal(len(points))
+    chol, _ = _covariance_cholesky(kernel, grid.points)
+    z = np.random.default_rng(seed).standard_normal(len(grid.points))
     return GpPath(grid=grid, values=tuple(chol @ z), kernel_id=kernel.describe())
+
+
+def _path_blocks(factor: np.ndarray, reps: int, seed: int):
+    """Yield `reps` rows z @ factor.T in blocks, each overwritten by the next.
+
+    z is drawn in order from a Philox stream keyed by the seed.
+    """
+    chunk = min(reps, max(1, _CHUNK_SCALARS // len(factor)))
+    lower = np.asfortranarray(factor)
+    buf = np.empty((chunk, len(factor)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for done in range(0, reps, chunk):
+        z = buf[: min(chunk, reps - done)]
+        rng.standard_normal(out=z)
+        # z.T is Fortran-ordered: dtrmm overwrites it with lower @ z.T
+        yield dtrmm(1.0, lower, z.T, side=0, lower=1, overwrite_b=1).T
 
 
 def sample_path_matrix(
@@ -177,18 +203,12 @@ def sample_path_matrix(
     """
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
-    points = grid.as_array()
-    chol = _covariance_cholesky(kernel, points)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    n = len(points)
-    out = np.empty((reps, n))
-    chunk = max(1, _CHUNK_SCALARS // n)
+    chol, _ = _covariance_cholesky(kernel, grid.points)
+    out = np.empty((reps, len(grid.points)))
     done = 0
-    while done < reps:
-        take = min(chunk, reps - done)
-        z = rng.standard_normal((take, n))
-        out[done : done + take] = z @ chol.T
-        done += take
+    for block in _path_blocks(chol, reps, seed):
+        out[done : done + len(block)] = block
+        done += len(block)
     return out
 
 
@@ -255,6 +275,7 @@ class EventProbReport:
     reps: int
     weighted: bool
     constraints: tuple
+    jitter: float
 
     def as_record(self) -> dict:
         rec = {
@@ -262,6 +283,7 @@ class EventProbReport:
             "ci_halfwidth": self.ci_halfwidth,
             "reps": self.reps,
             "weighted": self.weighted,
+            "jitter": self.jitter,
         }
         for i, (c, p) in enumerate(zip(self.constraints, self.p_marginals)):
             rec[f"constraint_{i}"] = c
@@ -291,40 +313,32 @@ def mc_event_probability(
         raise DomainError("need at least one constraint")
     if reps < MC_MIN_REPS:
         raise DomainError(f"reps must be >= {MC_MIN_REPS}, got {reps}")
-    grid = DyadicGrid(horizon, level)
-    points = grid.as_array()
-    masks = []
+    points = DyadicGrid(horizon, level).as_array()
+    spans = []
     for c in constraints:
         a, b = c.interval
         if b > horizon:
             raise DomainError(f"interval {c.interval} exceeds horizon {horizon}")
-        mask = (points >= a) & (points <= b)
-        if not mask.any():
+        lo, hi = np.searchsorted(points, a, "left"), np.searchsorted(points, b, "right")
+        if lo == hi:
             raise DomainError(f"interval {c.interval} contains no grid points")
-        masks.append(mask)
+        spans.append(slice(lo, hi))
 
-    chol = _covariance_cholesky(kernel, points)
-    weights = h_weight(d, points) if weighted else None
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    n = len(points)
-    chunk = max(1, _CHUNK_SCALARS // n)
+    chol, jitter = _covariance_cholesky(kernel, points)
+    # h_d * (L z) = (diag(h_d) L) z, so the weight is folded into the factor once
+    factor = h_weight(d, points)[:, None] * chol if weighted else chol
 
     joint_hits = 0
     marginal_hits = np.zeros(len(constraints), dtype=np.int64)
-    done = 0
-    while done < reps:
-        take = min(chunk, reps - done)
-        paths = rng.standard_normal((take, n)) @ chol.T
-        if weights is not None:
-            paths *= weights
-        joint = np.ones(take, dtype=bool)
-        for i, (c, mask) in enumerate(zip(constraints, masks)):
-            sup = np.max(np.abs(paths[:, mask]), axis=1)
+    for paths in _path_blocks(factor, reps, seed):
+        joint = np.ones(len(paths), dtype=bool)
+        for i, (c, span) in enumerate(zip(constraints, spans)):
+            view = paths[:, span]
+            sup = np.maximum(view.max(axis=1), -view.min(axis=1))
             ind = sup <= c.threshold if c.sense == "le" else sup >= c.threshold
             marginal_hits[i] += int(ind.sum())
             joint &= ind
         joint_hits += int(joint.sum())
-        done += take
 
     p_joint = joint_hits / reps
     ci = CI_Z * float(np.sqrt(p_joint * (1.0 - p_joint) / reps))
@@ -335,4 +349,5 @@ def mc_event_probability(
         reps=reps,
         weighted=weighted,
         constraints=tuple(c.describe() for c in constraints),
+        jitter=jitter,
     )

@@ -247,7 +247,7 @@ def _path_log_prior(values, knots, kernels) -> float:
     k = kn.size
     lp = 0.0
     for row, kernel in zip(values, kernels):
-        chol = _covariance_cholesky(kernel, kn)
+        chol, _ = _covariance_cholesky(kernel, kn)
         z = solve_triangular(chol, np.asarray(row, dtype=float), lower=True)
         lp += -0.5 * float(z @ z) - float(np.sum(np.log(np.diag(chol)))) - 0.5 * k * math.log(2.0 * math.pi)
     return lp
@@ -334,7 +334,7 @@ def mcmc_run(
     n = 0 if lik is None else lik.n
 
     k = len(kn)
-    chols = [_covariance_cholesky(kernel, np.asarray(kn)) for kernel in prior.kernels]
+    chols = [_covariance_cholesky(kernel, kn)[0] for kernel in prior.kernels]
     rng = np.random.default_rng(config.seed)
     beta = config.proposal_scale_path
 

@@ -10,7 +10,7 @@ bounds so every displayed inequality can be instantiated numerically.
 All time integrals split at a finite cutoff: the body is Simpson
 quadrature on [0, t_cut], the remainder is bounded analytically against
 the dominating envelope omega0 * exp(-omega0 * sigma_min * t), where
-sigma_min is the grid minimum of the reference link value.  Tail bounds
+sigma_min is the least reference link value on [0, t_cut].  Tail bounds
 are reported separately from the body so callers can see what part of a
 number is quadrature and what part is envelope.
 """
@@ -110,6 +110,19 @@ def upsilon(theta0: Theta, theta: Theta, x, t: float) -> float:
     return float(_log_density(c0, ts)[0] - _log_density(c1, ts)[0])
 
 
+def _link_floor(curve: HazardCurve, ts: np.ndarray) -> float:
+    """Minimum of sigma(Y) on [0, ts[-1]], the tail envelope's rate factor.
+
+    Y is piecewise linear, so the minimum sits at an end or at a knot.
+    Raises NumericError when it underflows to zero.
+    """
+    knots = curve.theta.grid.as_array()
+    floor = float(np.min(expit(curve.y_at(np.concatenate([ts, knots[knots <= ts[-1]]])))))
+    if floor <= 0.0:
+        raise NumericError("link lower bound underflows to zero; tail envelope degenerate")
+    return floor
+
+
 def _exp_tail_moments(rate: float, t0: float) -> tuple:
     """Integrals of t^k e^{-rate (t - t0)} over [t0, inf) for k = 0, 1, 2."""
     e0 = 1.0 / rate
@@ -179,7 +192,7 @@ def kl_terms(theta0: Theta, theta: Theta, x, quad: Quadrature | None = None) -> 
     ts = quad.nodes()
     c0 = HazardCurve(theta0, x)
     y0 = c0.y_at(ts)
-    sigma_min = float(np.min(expit(y0)))
+    sigma_min = _link_floor(c0, ts)
     if _same_parameter(theta0, theta):
         return KlTerms(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, sigma_min, quad.t_cut)
     c1 = HazardCurve(theta, x)
@@ -194,10 +207,6 @@ def kl_terms(theta0: Theta, theta: Theta, x, quad: Quadrature | None = None) -> 
     v2_body = float(simpson(ups * ups * f0, x=ts))
     if not (math.isfinite(k_body) and math.isfinite(v2_body)):
         raise NumericError("log-ratio quadrature is not finite")
-    if sigma_min <= 0.0:
-        raise NumericError(
-            "link lower bound underflows to zero on the grid; tail envelope degenerate"
-        )
     rate = theta0.omega * sigma_min
     a = abs(math.log(theta0.omega / theta.omega))
     b = 2.0 + theta0.omega + theta.omega
@@ -514,6 +523,23 @@ def analytic_kl_bounds(params: BSetParams, omega0: float, moments: MomentInputs)
     return KlBounds(head, tail, var_head, var_tail, k0)
 
 
+def _upper_moment(curve: HazardCurve, ts: np.ndarray, surv: np.ndarray,
+                  rate: float, a: float, power: int) -> float:
+    """E(T^power 1{T > a}) = a^power S(a) + int_a^inf power t^(power-1) S, power 1 or 2.
+
+    Trapezoids from a over the nodes ts; past ts[-1], S <= S(ts[-1]) e^{-rate (t - ts[-1])}.
+    """
+    s_a = float(curve.survival_at(a))
+    keep = ts >= a
+    cut_ts = np.concatenate([[a], ts[keep]])
+    cut_s = np.concatenate([[s_a], surv[keep]])
+    h, s_h = float(ts[-1]), float(surv[-1])
+    if power == 1:
+        return a * s_a + (float(np.trapezoid(cut_s, cut_ts)) + s_h / rate)
+    body = float(np.trapezoid(2.0 * cut_ts * cut_s, cut_ts))
+    return a * a * s_a + body + 2.0 * s_h * (h / rate + 1.0 / rate ** 2)
+
+
 def moments_for(theta0: Theta, x, tau: float, quad: Quadrature | None = None) -> MomentInputs:
     """Survival-form moment estimates at one covariate, tails enveloped up.
 
@@ -529,22 +555,13 @@ def moments_for(theta0: Theta, x, tau: float, quad: Quadrature | None = None) ->
     curve = HazardCurve(theta0, x)
     ts = quad.nodes()
     surv = curve.survival_at(ts)
-    sigma_min = float(np.min(expit(curve.y_at(ts))))
-    if sigma_min <= 0.0:
-        raise NumericError("link lower bound underflows to zero on the grid")
-    rate = theta0.omega * sigma_min
+    rate = theta0.omega * _link_floor(curve, ts)
     h = quad.t_cut
     s_h = float(surv[-1])
     e_t = float(simpson(surv, x=ts)) + s_h / rate
     e_t2 = float(simpson(2.0 * ts * surv, x=ts)) + 2.0 * s_h * (h / rate + 1.0 / rate ** 2)
-    s_tau = float(curve.survival_at(tau))
-    mask = ts >= tau
-    # one trapezoid correction for the panel straddling tau
-    cut_ts = np.concatenate([[tau], ts[mask]])
-    cut_s = np.concatenate([[s_tau], surv[mask]])
-    int_s_tail = float(np.trapezoid(cut_s, cut_ts)) + s_h / rate
-    e_t_tail = tau * s_tau + int_s_tail
-    return MomentInputs(e_t=e_t, e_t_tail=e_t_tail, p_tail=s_tau, e_t2=e_t2)
+    e_t_tail = _upper_moment(curve, ts, surv, rate, tau, 1)
+    return MomentInputs(e_t=e_t, e_t_tail=e_t_tail, p_tail=float(curve.survival_at(tau)), e_t2=e_t2)
 
 
 # -- moment condition checks ----------------------------------------------
@@ -574,19 +591,6 @@ class MomentReport:
             "inconclusive": self.inconclusive,
             "note": self.note,
         }
-
-
-def _tail_second_moment(curve: HazardCurve, ts: np.ndarray, surv: np.ndarray,
-                        m: float, rate: float) -> float:
-    # E(T^2 1{T>m}) = m^2 S(m) + int_m 2 t S dt, envelope past the cutoff
-    s_m = float(curve.survival_at(m))
-    mask = ts >= m
-    cut_ts = np.concatenate([[m], ts[mask]])
-    cut_s = np.concatenate([[s_m], surv[mask]])
-    h = float(ts[-1])
-    body = float(np.trapezoid(2.0 * cut_ts * cut_s, cut_ts))
-    env = 2.0 * float(surv[-1]) * (h / rate + 1.0 / rate ** 2)
-    return m * m * s_m + body + env
 
 
 def moment_checks(
@@ -624,15 +628,12 @@ def moment_checks(
     else:
         raise DomainError(f"design must be 'RD' or 'NRD', got {design!r}")
 
+    def inconclusive(note: str) -> MomentReport:
+        return MomentReport(math.nan, math.nan, False, False, (), False, True, note)
+
     h = quad.t_cut
     if h < 2.0 * m:
-        return MomentReport(
-            a3_estimate=math.nan, a3prime_worst=math.nan,
-            a3_pass=False, a3prime_pass=False,
-            truncation_ladder=(), ladder_decreasing=False,
-            inconclusive=True,
-            note=f"cutoff {h} is not well past m={m}; no usable tail estimate",
-        )
+        return inconclusive(f"cutoff {h} is not well past m={m}; no usable tail estimate")
     ts = quad.nodes()
     ladder_ns = []
     n = 1.0
@@ -641,35 +642,20 @@ def moment_checks(
         n *= 2.0
     e_ts = []
     worsts = []
-    ladder_vals = np.zeros(len(ladder_ns))
+    rows = []  # E(T 1{T>n}) along the ladder, one row per covariate point
     for cov in points:
         curve = HazardCurve(theta0, cov)
         surv = curve.survival_at(ts)
-        sigma_min = float(np.min(expit(curve.y_at(ts))))
-        if sigma_min <= 0.0:
-            return MomentReport(
-                a3_estimate=math.nan, a3prime_worst=math.nan,
-                a3_pass=False, a3prime_pass=False,
-                truncation_ladder=(), ladder_decreasing=False,
-                inconclusive=True,
-                note="link lower bound underflows to zero; envelope invalid",
-            )
-        rate = theta0.omega * sigma_min
-        s_h = float(surv[-1])
-        e_ts.append(float(simpson(surv, x=ts)) + s_h / rate)
-        worsts.append(_tail_second_moment(curve, ts, surv, m, rate))
-        for i, nv in enumerate(ladder_ns):
-            s_n = float(curve.survival_at(nv))
-            mask = ts >= nv
-            cut_ts = np.concatenate([[nv], ts[mask]])
-            cut_s = np.concatenate([[s_n], surv[mask]])
-            val = nv * s_n + float(np.trapezoid(cut_s, cut_ts)) + s_h / rate
-            if weights is not None:
-                ladder_vals[i] += weights[len(e_ts) - 1] * val
-            else:
-                ladder_vals[i] = max(ladder_vals[i], val)
-    e_arr = np.asarray(e_ts)
+        try:
+            rate = theta0.omega * _link_floor(curve, ts)
+        except NumericError as exc:
+            return inconclusive(str(exc))
+        e_ts.append(float(simpson(surv, x=ts)) + float(surv[-1]) / rate)
+        worsts.append(_upper_moment(curve, ts, surv, rate, m, 2))
+        rows.append([_upper_moment(curve, ts, surv, rate, nv, 1) for nv in ladder_ns])
+    e_arr, rows = np.asarray(e_ts), np.asarray(rows)
     a3 = float(weights @ e_arr) if weights is not None else float(np.max(e_arr))
+    ladder_vals = weights @ rows if weights is not None else np.max(rows, axis=0)
     worst = float(np.max(worsts))
     ladder = tuple((float(nv), float(v)) for nv, v in zip(ladder_ns, ladder_vals))
     decreasing = all(b[1] <= a[1] for a, b in zip(ladder, ladder[1:]))

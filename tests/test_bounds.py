@@ -330,7 +330,7 @@ class TestComparators:
         assert rep.mc_estimate >= rep.analytic_value - 3.0 * rep.ci
 
     def test_report_record(self):
-        rep = BoundReport("tail_series", 0.5, 0.4, 0.01, "pass")
+        rep = BoundReport("tail_series", 0.5, 0.4, 0.01, "pass", 1e-10)
         rec = json.loads(json.dumps(rep.as_record()))
         assert rec == {
             "lemma_id": "tail_series",
@@ -338,4 +338,5 @@ class TestComparators:
             "mc_estimate": 0.4,
             "ci": 0.01,
             "verdict": "pass",
+            "jitter": 1e-10,
         }

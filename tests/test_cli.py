@@ -22,6 +22,7 @@ from gphazard.cli import (
     run,
 )
 from gphazard.errors import ConfigError
+from gphazard.gp_paths import JITTER_FACTOR
 from gphazard.hazard import SurvivalDataset, Theta, UniformQ, generate_dataset
 
 
@@ -339,6 +340,18 @@ class TestRun:
         report = json.loads((dirs[0] / "report.json").read_text())
         ids = [r["lemma_id"] for r in report["reports"]]
         assert ids == ["tail_series", "small_ball", "small_ball", "centred_event"]
+
+    def test_verify_bounds_pinned_with_jitter(self, tmp_path):
+        # default reps and level; estimates recorded with the dense-product sampler
+        status, dirs = run_doc(tmp_path, {"command": "verify-bounds", "seed": 0})
+        assert status == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject)
+        assert [r["mc_estimate"] for r in report["reports"]] == [0.0, 0.00125, 0.774, 0.09515]
+        assert [r["jitter"] for r in report["reports"]] == [JITTER_FACTOR] * 4  # kappa(0) = 1
 
     def test_kl_small(self, tmp_path):
         doc = {

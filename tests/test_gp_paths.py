@@ -6,10 +6,14 @@ from numpy.testing import assert_allclose
 
 from gphazard.errors import DomainError, NumericError
 from gphazard.gp_paths import (
+    JITTER_FACTOR,
     DyadicGrid,
     GpPath,
     SupConstraint,
     TimeGrid,
+    _covariance_cholesky,
+    _grid_factor,
+    _path_blocks,
     dyadic_sup_bound,
     h_weight,
     mc_event_probability,
@@ -87,6 +91,57 @@ class TestSampling:
         k = StationaryKernel("tabulated", table_t=(0.0, 1.0, 2.0), table_k=(1.0, 0.9, -0.9))
         with pytest.raises(NumericError, match="escalation"):
             sample_path(k, DyadicGrid(2.0, 1), seed=0)
+
+    def test_sample_path_pinned(self):
+        # recorded before the factor cache; the cached factor must not move a bit
+        se = sample_path(StationaryKernel.se(lengthscale=0.7, variance=1.5), DyadicGrid(3.0, 4), 17)
+        assert se.values == (
+            1.3487655420548428, 1.4069297545272281, 1.1547547053723788, 0.5439010008463905,
+            -0.4002534968644423, -1.444242296174214, -2.2314054627310558, -2.562966351675003,
+            -2.520321041728917, -2.2931737869505793, -2.0330937056219134, -1.8621202538344581,
+            -1.8478941600730903, -1.9211413381006954, -1.866929639475462, -1.4706396592707125,
+            -0.7350662614374456,
+        )
+        ou = sample_path(StationaryKernel.ou(lengthscale=2.0), TimeGrid((0.0, 0.3, 1.1, 2.0, 4.5)), 23)
+        assert ou.values == (
+            0.5532605889164017, 0.5869760517968804, 0.3504290606133074, -1.562935768220239,
+            -0.034383177028169676,
+        )
+
+    def test_matrix_pinned(self):
+        # recorded with the dense product z @ L.T; the triangular multiply
+        # gives the same bits on this 9-point grid
+        m = sample_path_matrix(StationaryKernel.se(), DyadicGrid(2.0, 3), reps=6, seed=11)
+        assert np.array_equal(m[[0, 4, 5]], [
+            [-0.011708890342773014, 0.05034014072944465, 0.07861427875826947,
+             -0.03675893549122934, -0.3023336471865393, -0.6587553903207204,
+             -1.0183892386657665, -1.2961412898675042, -1.423698847511811],
+            [0.3158348861045885, 0.3641965415376994, 0.2727994562325011,
+             -0.050192846977791285, -0.5729992816086352, -1.149451783660897,
+             -1.6183910635270655, -1.9075165865837953, -2.0119138187590964],
+            [-0.7996272062657525, -0.5157490804703444, 0.0043621116049511735,
+             0.611982641690913, 1.0652951832733475, 1.18720031123318,
+             0.9668095995949019, 0.5163848204375165, -0.03190532982233297],
+        ])
+
+    def test_matrix_pinned_across_blocks(self):
+        # 513 points: two blocks, rows 0-7796 and 7797-8999; sums over 513
+        # terms are reordered by the triangular multiply, so equal to 1e-12
+        m = sample_path_matrix(StationaryKernel.ou(), DyadicGrid(2.0, 9), reps=9000, seed=4)
+        assert_allclose(m[np.ix_([0, 7796, 7797, 8999], [0, 256, 512])], [
+            [0.00021832635172935538, 0.08948222383709226, 1.2493776683741113],
+            [-0.7014470736917868, -1.5593118113403972, -1.5176896826674076],
+            [1.0674828790047406, 0.3031200454257308, -0.465395310294374],
+            [-0.11037974156739357, -1.6549520379806117, 0.02721870970003104],
+        ], rtol=0, atol=1e-12)
+        assert_allclose(m.sum(), 6605.531836727064, rtol=1e-12)
+
+    def test_blocks_keep_the_philox_stream(self):
+        n, reps = 513, 8000  # two blocks of 7797 and 203 rows
+        blocks = [b.copy() for b in _path_blocks(np.eye(n), reps, seed=8)]
+        assert [len(b) for b in blocks] == [7797, 203]
+        stream = np.random.Generator(np.random.Philox(key=8)).standard_normal((reps, n))
+        assert np.array_equal(np.concatenate(blocks), stream)
 
     def test_path_refuses_extrapolation(self):
         path = sample_path(StationaryKernel.se(), DyadicGrid(1.0, 2), seed=0)
@@ -229,3 +284,37 @@ class TestEventProbability:
             SupConstraint((1.0, 0.5), 1.0, "le")
         with pytest.raises(DomainError):
             SupConstraint((0.0, 1.0), 1.0, "between")
+
+
+class TestFactorCache:
+    def test_cached_factor_is_read_only_and_exact(self):
+        _grid_factor.cache_clear()
+        k = StationaryKernel.se(lengthscale=0.5)
+        pts = DyadicGrid(2.0, 5).as_array()
+        chol, jitter = _covariance_cholesky(k, pts)
+        assert jitter == JITTER_FACTOR * k.kappa0
+        assert not chol.flags.writeable
+        with pytest.raises(ValueError):
+            chol[0, 0] = 1.0
+        cov = k(np.abs(pts[:, None] - pts[None, :])) + jitter * np.eye(pts.size)
+        assert np.array_equal(chol, np.linalg.cholesky(cov))
+        again, _ = _covariance_cholesky(k, tuple(pts))
+        assert again is chol
+        assert _grid_factor.cache_info().hits == 1
+
+    def test_failed_factorisation_is_not_cached(self):
+        _grid_factor.cache_clear()
+        k = StationaryKernel("tabulated", table_t=(0.0, 1.0, 2.0), table_k=(1.0, 0.9, -0.9))
+        for _ in range(2):
+            with pytest.raises(NumericError, match="escalation"):
+                _covariance_cholesky(k, (0.0, 1.0, 2.0))
+        info = _grid_factor.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (0, 0, 2)
+
+    def test_report_carries_escalated_jitter(self):
+        # covariance 1 + 5e-10 off the diagonal: 1e-10 of jitter is too little
+        k = StationaryKernel("tabulated", table_t=(0.0, 1.0), table_k=(1.0, 1.0 + 5e-10))
+        rep = mc_event_probability(k, 0, False, [SupConstraint((0.0, 1.0), 1.0, "le")],
+                                   1.0, 0, 200, 0)
+        assert rep.jitter == pytest.approx(10.0 * JITTER_FACTOR, rel=1e-12)
+        assert rep.as_record()["jitter"] == rep.jitter

@@ -320,7 +320,7 @@ class TestLogPosterior:
         dataset = generate_dataset(theta0, 300, "RD", UniformQ(0), 10.0, 21)
         knots = tuple(np.linspace(0.0, 10.0, 4))
         ll0 = log_likelihood(ThetaRep.from_theta(theta0, knots), dataset)
-        chol = _covariance_cholesky(se3(), np.asarray(knots))
+        chol, _ = _covariance_cholesky(se3(), np.asarray(knots))
         rng = np.random.default_rng(33)
         beats = 0
         for _ in range(40):
@@ -335,7 +335,7 @@ class TestPcnStep:
         # with a constant log likelihood every move is accepted and the
         # chain leaves the path prior invariant
         knots = np.array([0.0, 1.5, 4.0])
-        chol = _covariance_cholesky(StationaryKernel.se(lengthscale=1.0), knots)
+        chol, _ = _covariance_cholesky(StationaryKernel.se(lengthscale=1.0), knots)
         rng = np.random.default_rng(123)
         row = chol @ rng.standard_normal(3)
         current = 0.0

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
-from gphazard.errors import DomainError
+from gphazard.errors import DomainError, NumericError
 from gphazard.kernels import StationaryKernel, check_a1, check_sublinear_integral
 
 
@@ -105,6 +106,31 @@ class TestSublinearIntegral:
         assert_allclose(rep.rows[0].ratio, (1.0 - math.exp(-10.0)) / 10.0, rtol=1e-8)
         assert_allclose(rep.rows[1].ratio, (1.0 - math.exp(-100.0)) / 100.0, rtol=1e-8)
         assert rep.passed
+
+    @pytest.mark.parametrize("kernel", [
+        StationaryKernel.se(lengthscale=0.3, variance=2.0),
+        StationaryKernel.ou(lengthscale=4.0, variance=0.5),
+        StationaryKernel.constant(variance=0.1),
+        StationaryKernel("tabulated", table_t=(0.0, 1.0, 3.0), table_k=(1.0, 0.5, 0.1)),
+    ], ids=["se", "ou", "constant", "tabulated"])
+    def test_integrals_match_quadrature(self, kernel):
+        horizons = (0.5, 1.0, 2.0, 3.0, 10.0, 100.0)  # below, on and past the table's breakpoints
+        rep = check_sublinear_integral(kernel, horizons=horizons)
+        for row in rep.rows:
+            inside = [t for t in kernel.table_t if 0.0 < t < row.horizon] or None
+            oracle, _ = quad(lambda t: float(kernel(t)), 0.0, row.horizon, points=inside,
+                             limit=200, epsabs=0.0, epsrel=1e-13)
+            assert_allclose(row.integral, oracle, rtol=1e-12)
+            assert_allclose(row.ratio, oracle / row.horizon, rtol=1e-12)
+
+    @pytest.mark.parametrize("variance", [0.1, 0.3, 0.41932550412258496, 7.299257909835141])
+    def test_constant_kernel_fails_at_any_variance(self, variance):
+        # a flat ratio must not read as decreasing through rounding
+        assert not check_sublinear_integral(StationaryKernel.constant(variance=variance)).passed
+
+    def test_infinite_variance_raises(self):
+        with pytest.raises(NumericError):
+            check_sublinear_integral(StationaryKernel.se(variance=math.inf))
 
     def test_constant_kernel_fails(self):
         rep = check_sublinear_integral(StationaryKernel.constant(variance=2.0))

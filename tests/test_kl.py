@@ -12,10 +12,10 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import polygamma
+from scipy.special import expit, polygamma
 
 from gphazard.errors import DomainError, GenerationError, NumericError
-from gphazard.gp_paths import DyadicGrid, sample_path
+from gphazard.gp_paths import DyadicGrid, TimeGrid, sample_path
 from gphazard.hazard import Covariate, TableQ, Theta, UniformQ
 from gphazard.kernels import StationaryKernel
 from gphazard.kl import (
@@ -128,6 +128,28 @@ class TestKlTerms:
         theta = random_theta0(0, seed=12)
         copy = Theta.from_values(theta.omega, theta.grid, [p.values for p in theta.paths])
         assert kl_terms(theta, copy, ()).k == 0.0
+
+    def test_sigma_min_reaches_a_knot_between_nodes(self):
+        # Y dips to -3 at a knot that falls between two quadrature nodes
+        grid = TimeGrid((0.0, 1.2345, 20.0))
+        theta0 = Theta.from_values(2.0, grid, [[0.0, -3.0, 0.0]])
+        nodes = default_quadrature(theta0).nodes()
+        node_min = float(np.min(expit(np.interp(nodes, grid.points, [0.0, -3.0, 0.0]))))
+        assert node_min > expit(-3.0) + 1e-5
+        terms = kl_terms(theta0, Theta.constant(1.0, 0, 20.0), ())
+        assert terms.sigma_min == expit(-3.0)
+
+    def test_sigma_min_is_the_minimum_over_knots_and_cut(self):
+        missed = 0
+        for seed in range(20):
+            theta0 = random_theta0(0, seed=seed)
+            nodes = default_quadrature(theta0).nodes()
+            knots, y = np.asarray(theta0.grid.points), np.asarray(theta0.paths[0].values)
+            exact = float(np.min(expit(np.append(y[knots <= nodes[-1]], np.interp(nodes[-1], knots, y)))))
+            sigma_min = kl_terms(theta0, theta0, ()).sigma_min
+            assert sigma_min <= exact and sigma_min == pytest.approx(exact, rel=1e-14)
+            missed += float(np.min(expit(np.interp(nodes, knots, y)))) > exact * (1 + 1e-9)
+        assert missed > 0  # the nodes alone overstate the floor on some truths
 
     def test_constant_hazard_divergence(self):
         theta0, theta1 = exp_pair()
