@@ -443,14 +443,15 @@ def _cmd_kl(p: dict, seed: int, out: Path):
                 "v": terms.v,
                 "k_margin": k_cap - terms.k,
                 "v_margin": v_cap - terms.v,
-                "ok": ok,
+                "k_tail_bound": terms.k_tail_bound,
+                "v2_tail_bound": terms.v2_tail_bound,
+                "ok": int(ok),
             }
         )
     with open(out / "members.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "v", "k_margin", "v_margin", "ok"])
-        for r in rows:
-            writer.writerow([repr(r["k"]), repr(r["v"]), repr(r["k_margin"]), repr(r["v_margin"]), int(r["ok"])])
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
     payload = {
         "members": p["members"],
         "violations": violations,
@@ -459,6 +460,8 @@ def _cmd_kl(p: dict, seed: int, out: Path):
         "bounds": bounds.as_record(),
         "min_k_margin": min(r["k_margin"] for r in rows),
         "min_v_margin": min(r["v_margin"] for r in rows),
+        "max_k_tail_bound": max(r["k_tail_bound"] for r in rows),
+        "max_v2_tail_bound": max(r["v2_tail_bound"] for r in rows),
     }
     return (0 if violations == 0 else 2), payload, ["members.csv"]
 

@@ -7,12 +7,13 @@ consistency argument relies on, checks the sigmoid-link sup inequalities
 that neighborhood buys, and assembles the matching closed-form upper
 bounds so every displayed inequality can be instantiated numerically.
 
-All time integrals split at a finite cutoff: the body is Simpson
-quadrature on [0, t_cut], the remainder is bounded analytically against
-the dominating envelope omega0 * exp(-omega0 * sigma_min * t), where
-sigma_min is the least reference link value on [0, t_cut].  Tail bounds
-are reported separately from the body so callers can see what part of a
-number is quadrature and what part is envelope.
+All time integrals split at a finite cutoff: the body is Gauss-Legendre
+on the knot cells of [0, t_cut], exact to rounding because the link is
+linear between knots; the remainder is bounded analytically against the
+envelope omega0 * exp(-omega0 * sigma_min * t), where sigma_min is the
+least reference link value on [0, t_cut].  Tail bounds are reported
+separately so callers can see what part of a number is quadrature and
+what part is envelope.
 """
 
 from __future__ import annotations
@@ -21,16 +22,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.special import expit, polygamma
 
 from .errors import DomainError, GenerationError, NumericError
 from .gp_paths import h_weight
-from .hazard import Covariate, HazardCurve, Theta, log_sigmoid
+from .hazard import Covariate, HazardCurve, Theta, log_sigmoid, survival_matrix
 from .vc import QAtoms, q_atoms_from_law
 
-DEFAULT_PANELS = 2048
 T_CUT_SCALE = 40.0
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
+MAX_LINK_VARIATION = 1e4  # largest sum of |dY| over the cells; each unit costs a piece
 B_GRID_REFINE = 129
 SUP_GRID_REFINE = 257
 
@@ -61,29 +62,45 @@ class BSetParams:
         return self.delta / (1.0 + self.tau)
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    """Body cutoff and Simpson panel count for the moment integrals."""
-
-    t_cut: float
-    panels: int = DEFAULT_PANELS
-
-    def __post_init__(self):
-        if not self.t_cut > 0:
-            raise DomainError(f"t_cut must be positive, got {self.t_cut}")
-        if self.panels < 8 or self.panels % 2:
-            raise DomainError(f"panels must be even and >= 8, got {self.panels}")
-
-    def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_cut, self.panels + 1)
-
-
-def default_quadrature(theta0: Theta, theta: Theta | None = None) -> Quadrature:
+def default_cutoff(theta0: Theta, theta: Theta | None = None) -> float:
     """Cutoff 40/omega0 clipped to the shortest horizon involved."""
-    t_cut = min(T_CUT_SCALE / theta0.omega, theta0.horizon)
-    if theta is not None:
-        t_cut = min(t_cut, theta.horizon)
-    return Quadrature(t_cut=t_cut)
+    horizons = [th.horizon for th in (theta0, theta) if th is not None]
+    return min(T_CUT_SCALE / theta0.omega, *horizons)
+
+
+def _cutoff(t_cut: float | None, *thetas: Theta) -> float:
+    """t_cut, or the default cutoff when None; it must lie in (0, every horizon]."""
+    if t_cut is None:
+        return default_cutoff(*thetas)
+    if not 0.0 < float(t_cut) <= min(theta.horizon for theta in thetas):
+        raise DomainError(f"quadrature cutoff {t_cut} is not positive or exceeds a horizon")
+    return float(t_cut)
+
+
+def _cell_edges(t_cut: float, thetas, cuts=()) -> np.ndarray:
+    """0, t_cut, the cut points and every knot below t_cut, sorted and distinct."""
+    knots = np.concatenate([theta.grid.as_array() for theta in thetas])
+    return np.union1d(knots[knots < t_cut], [0.0, t_cut, *cuts])
+
+
+def _knot_cells(edges: np.ndarray, y: np.ndarray, omega: float) -> tuple:
+    """Gauss-Legendre nodes and weights, six per piece, on the cells between edges.
+
+    The edges hold every knot of the link rows y, shape (m, len(edges)),
+    so each Y is linear on a cell and the integrands are analytic there.
+    A cell is cut into equal pieces, as many as omega * width or the
+    largest |dY| across it, and at least one, so that neither the decay of
+    exp(-omega * int sigma(Y)) nor a steep sigmoid outruns the nodes.
+    """
+    width = np.diff(edges)
+    rise = np.max(np.abs(np.diff(y, axis=1)), axis=0)
+    if not rise.sum() <= MAX_LINK_VARIATION:
+        raise NumericError(f"link varies by {rise.sum():.3g} before t_cut; too steep to integrate")
+    pieces = np.ceil(np.maximum(np.maximum(omega * width, rise), 1.0)).astype(int)
+    h = np.repeat(width / pieces, pieces)
+    index = np.arange(h.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    mid = np.repeat(edges[:-1], pieces) + h * (index + 0.5)
+    return (mid[:, None] + 0.5 * h[:, None] * _GL_X).ravel(), (0.5 * h[:, None] * _GL_W).ravel()
 
 
 def _log_density(curve: HazardCurve, ts: np.ndarray) -> np.ndarray:
@@ -110,15 +127,11 @@ def upsilon(theta0: Theta, theta: Theta, x, t: float) -> float:
     return float(_log_density(c0, ts)[0] - _log_density(c1, ts)[0])
 
 
-def _link_floor(curve: HazardCurve, ts: np.ndarray) -> float:
-    """Minimum of sigma(Y) on [0, ts[-1]], the tail envelope's rate factor.
-
-    Y is piecewise linear, so the minimum sits at an end or at a knot.
-    Raises NumericError when it underflows to zero.
-    """
-    knots = curve.theta.grid.as_array()
-    floor = float(np.min(expit(curve.y_at(np.concatenate([ts, knots[knots <= ts[-1]]])))))
-    if floor <= 0.0:
+def _link_floor(y_edges: np.ndarray):
+    """Least sigma(Y) on [0, t_cut] per link row, from Y at the cell edges,
+    where the piecewise-linear Y attains it; raises NumericError on underflow."""
+    floor = expit(np.min(y_edges, axis=-1))
+    if np.any(floor <= 0.0):
         raise NumericError("link lower bound underflows to zero; tail envelope degenerate")
     return floor
 
@@ -143,7 +156,7 @@ def _same_parameter(theta0: Theta, theta: Theta) -> bool:
 
 @dataclass(frozen=True)
 class KlTerms:
-    """First two moments of the log ratio, body quadrature plus tail bound.
+    """First two moments of the log ratio, Gauss-Legendre body plus tail bound.
 
     k and v are the reported divergence and variance; k_tail_bound and
     v2_tail_bound are the envelope parts already included in them.
@@ -171,52 +184,46 @@ class KlTerms:
         }
 
 
-def kl_terms(theta0: Theta, theta: Theta, x, quad: Quadrature | None = None) -> KlTerms:
+def kl_terms(theta0: Theta, theta: Theta, x, t_cut: float | None = None) -> KlTerms:
     """Divergence K and variance V of the log ratio under theta0 at one x.
 
     The body integrates the exact log ratio against the theta0 density on
-    [0, t_cut].  Beyond the cutoff the ratio obeys the linear growth
-    envelope |log ratio| <= |log(omega0/omega)| + (2 + omega0 + omega) t,
+    [0, t_cut] by Gauss-Legendre on the cells between both parameters'
+    knots, exact to rounding.  Beyond the cutoff the ratio obeys the linear
+    growth envelope |log ratio| <= |log(omega0/omega)| + (2 + omega0 + omega) t,
     valid on the decay-regular class where the link stays above e^{-t};
     it is integrated against the density cap
     omega0 * S0(t_cut) * e^{-omega0 sigma_min (t - t_cut)}, which anchors
     the envelope at the survival already accumulated by the cutoff, and
     added.  Identical parameters short-circuit to exact zeros.
     """
-    if quad is None:
-        quad = default_quadrature(theta0, theta)
     if theta0.d != theta.d:
         raise DomainError("parameters must share the covariate dimension")
-    if quad.t_cut > theta0.horizon or quad.t_cut > theta.horizon:
-        raise DomainError("quadrature cutoff exceeds a parameter horizon")
-    ts = quad.nodes()
-    c0 = HazardCurve(theta0, x)
-    y0 = c0.y_at(ts)
-    sigma_min = _link_floor(c0, ts)
+    t_cut = _cutoff(t_cut, theta0, theta)
+    c0, c1 = HazardCurve(theta0, x), HazardCurve(theta, x)
+    edges = _cell_edges(t_cut, (theta0, theta))
+    y_edges = np.stack([c0.y_at(edges), c1.y_at(edges)])
+    sigma_min = float(_link_floor(y_edges[0]))
     if _same_parameter(theta0, theta):
-        return KlTerms(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, sigma_min, quad.t_cut)
-    c1 = HazardCurve(theta, x)
-    cum0 = c0.cum_hazard_at(ts)
-    ups = (
-        math.log(theta0.omega / theta.omega)
-        + (log_sigmoid(y0) - log_sigmoid(c1.y_at(ts)))
-        - (cum0 - c1.cum_hazard_at(ts))
-    )
-    f0 = np.exp(math.log(theta0.omega) + log_sigmoid(y0) - cum0)
-    k_body = float(simpson(ups * f0, x=ts))
-    v2_body = float(simpson(ups * ups * f0, x=ts))
+        return KlTerms(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, sigma_min, t_cut)
+    ts, w = _knot_cells(edges, y_edges, theta0.omega)
+    log_f0 = _log_density(c0, ts)
+    ups = log_f0 - _log_density(c1, ts)
+    f0 = np.exp(log_f0)
+    k_body = float(w @ (ups * f0))
+    v2_body = float(w @ (ups * ups * f0))
     if not (math.isfinite(k_body) and math.isfinite(v2_body)):
         raise NumericError("log-ratio quadrature is not finite")
     rate = theta0.omega * sigma_min
     a = abs(math.log(theta0.omega / theta.omega))
     b = 2.0 + theta0.omega + theta.omega
-    s_cut = math.exp(-float(cum0[-1]))
-    e0, e1, e2 = _exp_tail_moments(rate, quad.t_cut)
+    s_cut = float(c0.survival_at(t_cut))
+    e0, e1, e2 = _exp_tail_moments(rate, t_cut)
     k_tail = theta0.omega * s_cut * (a * e0 + b * e1)
     v2_tail = theta0.omega * s_cut * (a * a * e0 + 2.0 * a * b * e1 + b * b * e2)
     k = k_body + k_tail
     v = v2_body + v2_tail - k * k
-    return KlTerms(k, v, k_body, k_tail, v2_body, v2_tail, sigma_min, quad.t_cut)
+    return KlTerms(k, v, k_body, k_tail, v2_body, v2_tail, sigma_min, t_cut)
 
 
 def _coerce_x(x, d: int) -> Covariate:
@@ -255,7 +262,7 @@ def kl_aggregate(
     design: str,
     q_grid=None,
     xs=None,
-    quad: Quadrature | None = None,
+    t_cut: float | None = None,
 ) -> KlAggregate:
     """Average (RD) or worst-case (NRD) divergence over the covariates.
 
@@ -264,8 +271,7 @@ def kl_aggregate(
     max of K, plus the position-weighted variance sum Sum V_i / i^2 with
     its remainder bounded by (max V) * Sum_{i>n} i^{-2}.
     """
-    if quad is None:
-        quad = default_quadrature(theta0, theta)
+    t_cut = _cutoff(t_cut, theta0, theta)
     d = theta0.d
     if design == "RD":
         if q_grid is None:
@@ -276,7 +282,7 @@ def kl_aggregate(
         per = []
         total = 0.0
         for row, w in zip(atoms.nodes, atoms.weights):
-            terms = kl_terms(theta0, theta, Covariate(tuple(row)), quad)
+            terms = kl_terms(theta0, theta, Covariate(tuple(row)), t_cut)
             per.append((tuple(row), terms.k, terms.v, float(w)))
             total += w * terms.k
         return KlAggregate("RD", total, tuple(per))
@@ -287,7 +293,7 @@ def kl_aggregate(
         cache: dict = {}
         for c in coords:
             if c not in cache:
-                cache[c] = kl_terms(theta0, theta, Covariate(c), quad)
+                cache[c] = kl_terms(theta0, theta, Covariate(c), t_cut)
         n = len(coords)
         ks = np.asarray([cache[c].k for c in coords])
         vs = np.asarray([cache[c].v for c in coords])
@@ -523,45 +529,46 @@ def analytic_kl_bounds(params: BSetParams, omega0: float, moments: MomentInputs)
     return KlBounds(head, tail, var_head, var_tail, k0)
 
 
-def _upper_moment(curve: HazardCurve, ts: np.ndarray, surv: np.ndarray,
-                  rate: float, a: float, power: int) -> float:
-    """E(T^power 1{T > a}) = a^power S(a) + int_a^inf power t^(power-1) S, power 1 or 2.
+def _survival_moments(theta0: Theta, xs: np.ndarray, t_cut: float, cuts) -> tuple:
+    """E(T 1{T>a}), E(T^2 1{T>a}) and S(a) for each covariate row and cut a.
 
-    Trapezoids from a over the nodes ts; past ts[-1], S <= S(ts[-1]) e^{-rate (t - ts[-1])}.
+    E(T^p 1{T>a}) = a^p S(a) + int_a^inf p t^(p-1) S.  Every cut is a cell
+    edge, so the integral from a is a suffix sum over the Gauss-Legendre
+    cells past a, all rows from one survival_matrix call.  Beyond the
+    cutoff S is capped by S(t_cut) e^{-rate (t - t_cut)},
+    rate = omega0 * sigma_min, so the values are upper estimates.  Returns
+    the three stacked, shape (3, len(xs), len(cuts)).
     """
-    s_a = float(curve.survival_at(a))
-    keep = ts >= a
-    cut_ts = np.concatenate([[a], ts[keep]])
-    cut_s = np.concatenate([[s_a], surv[keep]])
-    h, s_h = float(ts[-1]), float(surv[-1])
-    if power == 1:
-        return a * s_a + (float(np.trapezoid(cut_s, cut_ts)) + s_h / rate)
-    body = float(np.trapezoid(2.0 * cut_ts * cut_s, cut_ts))
-    return a * a * s_a + body + 2.0 * s_h * (h / rate + 1.0 / rate ** 2)
+    cuts = np.asarray(cuts, dtype=float)
+    edges = _cell_edges(t_cut, (theta0,), cuts)
+    y = np.concatenate([np.ones((len(xs), 1)), xs], axis=1) @ _paths_on(theta0, edges)
+    rate = theta0.omega * _link_floor(y)[:, None]
+    ts, w = _knot_cells(edges, y, theta0.omega)
+    surv = survival_matrix(theta0, xs, np.concatenate([ts, cuts, [t_cut]]))
+    s_ts, s_a, s_h = surv[:, :ts.size], surv[:, ts.size:-1], surv[:, -1:]
+    past = np.searchsorted(ts, cuts, side="right")  # first node beyond each cut
+    moments = []
+    for p, envelope in ((1, s_h / rate), (2, 2.0 * s_h * (t_cut / rate + 1.0 / rate ** 2))):
+        terms = np.concatenate([s_ts * (p * ts ** (p - 1) * w), envelope], axis=1)
+        suffix = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]  # smallest terms first
+        moments.append(cuts ** p * s_a + suffix[:, past])
+    return np.stack([*moments, s_a])
 
 
-def moments_for(theta0: Theta, x, tau: float, quad: Quadrature | None = None) -> MomentInputs:
+def moments_for(theta0: Theta, x, tau: float, t_cut: float | None = None) -> MomentInputs:
     """Survival-form moment estimates at one covariate, tails enveloped up.
 
     Uses E(T) = int S, E(T^2) = int 2 t S, E(T 1{T>tau}) = tau S(tau) +
-    int_tau S; beyond the quadrature cutoff every integrand is capped by
-    S(t_cut) e^{-rate (t - t_cut)}, so the outputs are upper estimates and
-    safe to feed the bound assembly.
+    int_tau S, Gauss-Legendre on the knot cells of [0, t_cut] and exact to
+    rounding; beyond it S is capped by S(t_cut) e^{-rate (t - t_cut)}, so
+    the outputs are upper estimates and safe to feed the bound assembly.
     """
-    if quad is None:
-        quad = default_quadrature(theta0)
-    if not 0 < tau < quad.t_cut:
-        raise DomainError(f"tau must sit inside (0, {quad.t_cut}), got {tau}")
-    curve = HazardCurve(theta0, x)
-    ts = quad.nodes()
-    surv = curve.survival_at(ts)
-    rate = theta0.omega * _link_floor(curve, ts)
-    h = quad.t_cut
-    s_h = float(surv[-1])
-    e_t = float(simpson(surv, x=ts)) + s_h / rate
-    e_t2 = float(simpson(2.0 * ts * surv, x=ts)) + 2.0 * s_h * (h / rate + 1.0 / rate ** 2)
-    e_t_tail = _upper_moment(curve, ts, surv, rate, tau, 1)
-    return MomentInputs(e_t=e_t, e_t_tail=e_t_tail, p_tail=float(curve.survival_at(tau)), e_t2=e_t2)
+    t_cut = _cutoff(t_cut, theta0)
+    if not 0 < tau < t_cut:
+        raise DomainError(f"tau must sit inside (0, {t_cut}), got {tau}")
+    row = _coerce_x(x, theta0.d).as_array()[None, :]
+    (e_t, e_t_tail), (e_t2, _), (_, p_tail) = _survival_moments(theta0, row, t_cut, [0, tau])[:, 0]
+    return MomentInputs(float(e_t), float(e_t_tail), float(p_tail), float(e_t2))
 
 
 # -- moment condition checks ----------------------------------------------
@@ -598,7 +605,7 @@ def moment_checks(
     design: str,
     q_grid=None,
     xs=None,
-    quad: Quadrature | None = None,
+    t_cut: float | None = None,
     m: float = 10.0,
     delta: float = 0.05,
 ) -> MomentReport:
@@ -611,19 +618,20 @@ def moment_checks(
     The report is inconclusive when the cutoff is not well past m or the
     envelope rate degenerates.
     """
-    if quad is None:
-        quad = default_quadrature(theta0)
+    t_cut = _cutoff(t_cut, theta0)
     if design == "RD":
         if q_grid is None:
             raise DomainError("RD checks need a covariate law or atoms")
         atoms = q_grid if isinstance(q_grid, QAtoms) else q_atoms_from_law(q_grid)
-        points = [Covariate(tuple(r)) for r in atoms.nodes]
-        weights = np.asarray(atoms.weights)
+        if atoms.d != theta0.d:
+            raise DomainError(f"atoms have d={atoms.d}, model expects {theta0.d}")
+        rows = atoms.nodes_array()
+        weights = atoms.weights_array()
     elif design == "NRD":
         if xs is None or not len(xs):
             raise DomainError("NRD checks need the fixed covariate list")
-        seen = dict.fromkeys(_coerce_x(x, theta0.d).coords for x in xs)
-        points = [Covariate(c) for c in seen]
+        seen = list(dict.fromkeys(_coerce_x(x, theta0.d).coords for x in xs))
+        rows = np.asarray(seen, dtype=float).reshape(len(seen), theta0.d)
         weights = None
     else:
         raise DomainError(f"design must be 'RD' or 'NRD', got {design!r}")
@@ -631,33 +639,21 @@ def moment_checks(
     def inconclusive(note: str) -> MomentReport:
         return MomentReport(math.nan, math.nan, False, False, (), False, True, note)
 
-    h = quad.t_cut
-    if h < 2.0 * m:
-        return inconclusive(f"cutoff {h} is not well past m={m}; no usable tail estimate")
-    ts = quad.nodes()
+    if t_cut < 2.0 * m:
+        return inconclusive(f"cutoff {t_cut} is not well past m={m}; no usable tail estimate")
     ladder_ns = []
     n = 1.0
-    while n <= h / 2.0:
+    while n <= t_cut / 2.0:
         ladder_ns.append(n)
         n *= 2.0
-    e_ts = []
-    worsts = []
-    rows = []  # E(T 1{T>n}) along the ladder, one row per covariate point
-    for cov in points:
-        curve = HazardCurve(theta0, cov)
-        surv = curve.survival_at(ts)
-        try:
-            rate = theta0.omega * _link_floor(curve, ts)
-        except NumericError as exc:
-            return inconclusive(str(exc))
-        e_ts.append(float(simpson(surv, x=ts)) + float(surv[-1]) / rate)
-        worsts.append(_upper_moment(curve, ts, surv, rate, m, 2))
-        rows.append([_upper_moment(curve, ts, surv, rate, nv, 1) for nv in ladder_ns])
-    e_arr, rows = np.asarray(e_ts), np.asarray(rows)
-    a3 = float(weights @ e_arr) if weights is not None else float(np.max(e_arr))
-    ladder_vals = weights @ rows if weights is not None else np.max(rows, axis=0)
-    worst = float(np.max(worsts))
-    ladder = tuple((float(nv), float(v)) for nv, v in zip(ladder_ns, ladder_vals))
+    try:
+        e1, e2, _ = _survival_moments(theta0, rows, t_cut, [0.0, *ladder_ns, m])
+    except NumericError as exc:
+        return inconclusive(str(exc))
+    reduced = weights @ e1[:, :-1] if weights is not None else np.max(e1[:, :-1], axis=0)
+    a3 = float(reduced[0])
+    worst = float(np.max(e2[:, -1]))
+    ladder = tuple((float(nv), float(v)) for nv, v in zip(ladder_ns, reduced[1:]))
     decreasing = all(b[1] <= a[1] for a, b in zip(ladder, ladder[1:]))
     return MomentReport(
         a3_estimate=a3,

@@ -49,6 +49,8 @@ from gphazard.kl import (
 from gphazard import vc
 from gphazard.vc import GridSpec, deviation_bounds, sup_deviation_metric
 
+from conftest import random_theta0
+
 anchored_statistic = vc.test_statistic
 
 LN2 = math.log(2.0)
@@ -67,18 +69,6 @@ def se_kernel(lengthscale=1.0):
 
 def ou_kernel(lengthscale=1.0):
     return StationaryKernel.ou(lengthscale=lengthscale)
-
-
-def random_theta0(d, seed, omega0=2.0, horizon=24.0, scale=0.3):
-    # smooth random truth with amplitude shrinking in d
-    grid = DyadicGrid(horizon, 7)
-    kern = StationaryKernel.se(lengthscale=3.0, variance=(scale / (d + 1)) ** 2)
-    rng = np.random.default_rng(seed)
-    vals = [
-        np.asarray(sample_path(kern, grid, seed=int(rng.integers(1 << 30))).values)
-        for _ in range(d + 1)
-    ]
-    return Theta.from_values(omega0, grid, vals)
 
 
 def test_01_exponential_kl_oracle():

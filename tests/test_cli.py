@@ -220,6 +220,11 @@ class TestIngestDataset:
         assert ds.horizon == 9.0
 
 
+def reject_constant(token):
+    """json parse_constant hook: NaN and infinities are not strict JSON."""
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def run_doc(tmp_path, doc):
     doc = dict(doc)
     doc["out"] = str(tmp_path / "out")
@@ -346,10 +351,7 @@ class TestRun:
         status, dirs = run_doc(tmp_path, {"command": "verify-bounds", "seed": 0})
         assert status == 0
 
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject)
+        report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject_constant)
         assert [r["mc_estimate"] for r in report["reports"]] == [0.0, 0.00125, 0.774, 0.09515]
         assert [r["jitter"] for r in report["reports"]] == [JITTER_FACTOR] * 4  # kappa(0) = 1
 
@@ -361,12 +363,17 @@ class TestRun:
         }
         status, dirs = run_doc(tmp_path, doc)
         assert status == 0
-        report = json.loads((dirs[0] / "report.json").read_text())
+        report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject_constant)
         assert report["violations"] == 0
         assert report["min_k_margin"] > 0
         assert report["min_v_margin"] > 0
         lines = (dirs[0] / "members.csv").read_text().strip().split("\n")
         assert len(lines) == 6
+        header = lines[0].split(",")
+        assert header[4:6] == ["k_tail_bound", "v2_tail_bound"]
+        for name, column in (("max_k_tail_bound", 4), ("max_v2_tail_bound", 5)):
+            values = [float(line.split(",")[column]) for line in lines[1:]]
+            assert report[name] == max(values) and 0.0 <= report[name] < math.inf
 
     def test_kl_rejects_wrong_x_length(self, tmp_path):
         doc = {
@@ -406,11 +413,8 @@ class TestRun:
         # n, so its rank correlation is undefined
         status, dirs = run_doc(tmp_path, {"command": "consistency"})
 
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject)
-        json.loads((dirs[0] / "manifest.json").read_text(), parse_constant=reject)
+        report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject_constant)
+        json.loads((dirs[0] / "manifest.json").read_text(), parse_constant=reject_constant)
         assert status == 2
         assert report["spearman"] is None
         assert report["consistent_trend"] is False
@@ -428,10 +432,7 @@ class TestRun:
         }
         _, dirs = run_doc(tmp_path, doc)
 
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject)
+        report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject_constant)
         (cell,) = report["warnings"]
         assert (cell["n"], cell["rep"]) == (300, 0)
         assert any("omega acceptance rate" in w and "below 1%" in w for w in cell["messages"])

@@ -2,8 +2,9 @@
 
 With all paths identically zero the model is a constant-hazard law, so
 the log ratio and its first two moments have textbook closed forms; those
-anchor the quadrature.  The neighborhood, sup-inequality, and bound
-assembly checks exercise every displayed inequality on sampled members.
+anchor the quadrature, and adaptive quad on every knot cell pins it on
+random truths.  The neighborhood, sup-inequality, and bound assembly checks
+exercise every displayed inequality on sampled members.
 """
 
 import json
@@ -12,20 +13,19 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 from scipy.special import expit, polygamma
 
 from gphazard.errors import DomainError, GenerationError, NumericError
-from gphazard.gp_paths import DyadicGrid, TimeGrid, sample_path
-from gphazard.hazard import Covariate, TableQ, Theta, UniformQ
-from gphazard.kernels import StationaryKernel
+from gphazard.gp_paths import DyadicGrid, TimeGrid
+from gphazard.hazard import Covariate, HazardCurve, TableQ, Theta, UniformQ
 from gphazard.kl import (
     BSetParams,
     KlBounds,
     MomentInputs,
-    Quadrature,
     analytic_kl_bounds,
     b_set_membership,
-    default_quadrature,
+    default_cutoff,
     kl_aggregate,
     kl_terms,
     link_sup_check,
@@ -35,6 +35,8 @@ from gphazard.kl import (
     upsilon,
 )
 
+from conftest import random_theta0
+
 LN2 = math.log(2.0)
 
 
@@ -43,16 +45,88 @@ def exp_pair(horizon=20.0):
     return Theta.constant(2.0, 0, horizon), Theta.constant(1.0, 0, horizon)
 
 
-def random_theta0(d, seed, omega0=2.0, horizon=24.0, scale=0.3):
-    # amplitude shrinks with d so the decay floor keeps a wide margin
-    grid = DyadicGrid(horizon, 7)
-    kern = StationaryKernel.se(lengthscale=3.0, variance=(scale / (d + 1)) ** 2)
-    rng = np.random.default_rng(seed)
-    vals = [
-        np.asarray(sample_path(kern, grid, seed=int(rng.integers(1 << 30))).values)
-        for _ in range(d + 1)
-    ]
-    return Theta.from_values(omega0, grid, vals)
+def knot_edges(t_cut, *thetas, cuts=()):
+    """Breakpoints of the oracle: 0, t_cut, the cuts and every knot below t_cut."""
+    knots = np.concatenate([theta.grid.as_array() for theta in thetas])
+    return np.union1d(knots[knots < t_cut], [0.0, t_cut, *cuts])
+
+
+def cell_law(c, a, b):
+    """Y and the cumulative hazard of curve c on the cell [a, b], scalar in t.
+
+    Y is linear on the cell, so int_a^t sigmoid(Y) is
+    log1p(sigmoid(Y(a)) expm1(dY)) / slope: exact, and cheap enough for quad.
+    """
+    ya = float(c.y_at(a))
+    slope = (float(c.y_at(b)) - ya) / (b - a)
+    lam_a, sig_a = float(c.cum_hazard_at(a)), expit(ya)
+
+    def law(t):
+        dy = slope * (t - a)
+        rise = sig_a * (t - a) if slope == 0.0 else math.log1p(sig_a * math.expm1(dy)) / slope
+        return ya + dy, lam_a + c.theta.omega * rise
+
+    return law
+
+
+def cell_quad(integrand, edges):
+    """Adaptive quad on each cell between edges; integrand(a, b) is f on [a, b]."""
+    return np.array([
+        quad(integrand(a, b), a, b, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    ])
+
+
+def body_oracle(theta0, theta, x, t_cut):
+    """int_0^t_cut of ups f0 and ups^2 f0, the log ratio ups = log f0 - log f."""
+    c0, c1 = HazardCurve(theta0, x), HazardCurve(theta, x)
+
+    def log_f(law, omega, t):
+        y, lam = law(t)
+        return math.log(omega) - math.log1p(math.exp(-y)) - lam
+
+    def moment(p):
+        def integrand(a, b):
+            law0, law1 = cell_law(c0, a, b), cell_law(c1, a, b)
+
+            def f(t):
+                log_f0 = log_f(law0, theta0.omega, t)
+                return (log_f0 - log_f(law1, theta.omega, t)) ** p * math.exp(log_f0)
+
+            return f
+
+        return integrand
+
+    edges = knot_edges(t_cut, theta0, theta)
+    return cell_quad(moment(1), edges).sum(), cell_quad(moment(2), edges).sum()
+
+
+def moment_oracle(theta0, x, t_cut, cuts):
+    """E(T 1{T>a}), E(T^2 1{T>a}) and S(a) per cut a: the body by quad, the
+    part past t_cut by the envelope S(t_cut) e^{-omega0 sigma_min (t - t_cut)}."""
+    c = HazardCurve(theta0, x)
+    knots = theta0.grid.as_array()
+    rate = theta0.omega * expit(np.min(c.y_at(np.append(knots[knots <= t_cut], t_cut))))
+    s_h = c.survival_at(t_cut)
+    edges = knot_edges(t_cut, theta0, cuts=cuts)
+
+    def moment(p):
+        def integrand(a, b):
+            law = cell_law(c, a, b)
+            return lambda t: p * t ** (p - 1) * math.exp(-law(t)[1])
+
+        return integrand
+
+    first, second = cell_quad(moment(1), edges), cell_quad(moment(2), edges)
+    out = []
+    for a in cuts:
+        past, s_a = edges[:-1] >= a, c.survival_at(a)
+        out.append((
+            a * s_a + first[past].sum() + s_h / rate,
+            a * a * s_a + second[past].sum() + 2.0 * s_h * (t_cut / rate + 1.0 / rate ** 2),
+            s_a,
+        ))
+    return np.array(out).T
 
 
 class TestBSetParams:
@@ -102,19 +176,54 @@ class TestUpsilon:
 class TestQuadrature:
     def test_default_clips_to_horizon(self):
         theta0 = Theta.constant(2.0, 0, 12.0)
-        assert default_quadrature(theta0).t_cut == pytest.approx(12.0)
+        assert default_cutoff(theta0) == pytest.approx(12.0)
         theta_long = Theta.constant(2.0, 0, 50.0)
-        assert default_quadrature(theta_long).t_cut == pytest.approx(20.0)
-
-    def test_rejects_odd_or_tiny_panels(self):
-        with pytest.raises(DomainError):
-            Quadrature(t_cut=10.0, panels=101)
-        with pytest.raises(DomainError):
-            Quadrature(t_cut=10.0, panels=4)
+        assert default_cutoff(theta_long) == pytest.approx(20.0)
 
     def test_rejects_nonpositive_cutoff(self):
+        theta0, theta1 = exp_pair()
         with pytest.raises(DomainError):
-            Quadrature(t_cut=0.0)
+            kl_terms(theta0, theta1, (), 0.0)
+
+    @pytest.mark.parametrize("t_cut", [math.nan, 0.0, -1.0, 15.0, 25.0])
+    @pytest.mark.parametrize("entry", ["kl_terms", "kl_aggregate", "moments_for", "moment_checks"])
+    def test_rejects_bad_cutoff(self, entry, t_cut):
+        # theta0 lives on [0, 20] and theta on [0, 12], so 15 is past the second only
+        theta0, theta = Theta.constant(2.0, 0, 20.0), Theta.constant(1.0, 0, 12.0)
+        calls = {
+            "kl_terms": lambda: kl_terms(theta0, theta, (), t_cut),
+            "kl_aggregate": lambda: kl_aggregate(theta0, theta, "NRD", xs=[()], t_cut=t_cut),
+            "moments_for": lambda: moments_for(theta, (), 2.0, t_cut),
+            "moment_checks": lambda: moment_checks(theta, "NRD", xs=[()], t_cut=t_cut),
+        }
+        with pytest.raises(DomainError):
+            calls[entry]()
+
+    @pytest.mark.parametrize("omega0", [0.3, 2.0, 6.0])
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_body_matches_cellwise_quad(self, d, omega0):
+        # The candidate's knots (horizon 22) interleave the truth's (horizon
+        # 24).  Its scale is 1.5 to 3 times omega0, which keeps K above about
+        # 0.07: the log ratio is a difference of cumulative hazards of size up
+        # to 40, so rule and oracle each carry about 1e-14 absolute error.
+        rng = np.random.default_rng([d, int(10 * omega0)])
+        for _ in range(3):
+            theta0 = random_theta0(d, seed=int(rng.integers(1 << 30)), omega0=omega0)
+            theta = random_theta0(d, seed=int(rng.integers(1 << 30)), horizon=22.0,
+                                  omega0=omega0 * float(rng.uniform(1.5, 3.0)))
+            x = tuple(rng.uniform(0.0, 1.0, d))
+            terms = kl_terms(theta0, theta, x)
+            want = body_oracle(theta0, theta, x, terms.t_cut)
+            assert_allclose([terms.k_body, terms.v2_body], want, rtol=1e-12, atol=0)
+
+    def test_body_resolves_a_steep_cell(self):
+        # Y rises by 30 across [4, 4.5], where omega0 * width is only 1
+        grid = TimeGrid((0.0, 4.0, 4.5, 12.0))
+        theta0 = Theta.from_values(2.0, grid, [[-5.0, -5.0, 25.0, 25.0]])
+        theta = Theta.from_values(1.5, grid, [[0.0, 0.5, 0.3, -0.2]])
+        terms = kl_terms(theta0, theta, ())
+        want = body_oracle(theta0, theta, (), terms.t_cut)
+        assert_allclose([terms.k_body, terms.v2_body], want, rtol=1e-12, atol=0)
 
 
 class TestKlTerms:
@@ -130,26 +239,19 @@ class TestKlTerms:
         assert kl_terms(theta, copy, ()).k == 0.0
 
     def test_sigma_min_reaches_a_knot_between_nodes(self):
-        # Y dips to -3 at a knot that falls between two quadrature nodes
+        # Y dips to -3 at a knot that no uniform grid of [0, 20] hits
         grid = TimeGrid((0.0, 1.2345, 20.0))
         theta0 = Theta.from_values(2.0, grid, [[0.0, -3.0, 0.0]])
-        nodes = default_quadrature(theta0).nodes()
-        node_min = float(np.min(expit(np.interp(nodes, grid.points, [0.0, -3.0, 0.0]))))
-        assert node_min > expit(-3.0) + 1e-5
         terms = kl_terms(theta0, Theta.constant(1.0, 0, 20.0), ())
         assert terms.sigma_min == expit(-3.0)
 
     def test_sigma_min_is_the_minimum_over_knots_and_cut(self):
-        missed = 0
         for seed in range(20):
             theta0 = random_theta0(0, seed=seed)
-            nodes = default_quadrature(theta0).nodes()
             knots, y = np.asarray(theta0.grid.points), np.asarray(theta0.paths[0].values)
-            exact = float(np.min(expit(np.append(y[knots <= nodes[-1]], np.interp(nodes[-1], knots, y)))))
-            sigma_min = kl_terms(theta0, theta0, ()).sigma_min
-            assert sigma_min <= exact and sigma_min == pytest.approx(exact, rel=1e-14)
-            missed += float(np.min(expit(np.interp(nodes, knots, y)))) > exact * (1 + 1e-9)
-        assert missed > 0  # the nodes alone overstate the floor on some truths
+            for t_cut in (default_cutoff(theta0), 7.3):
+                exact = float(np.min(expit(np.append(y[knots <= t_cut], np.interp(t_cut, knots, y)))))
+                assert kl_terms(theta0, theta0, (), t_cut).sigma_min == exact
 
     def test_constant_hazard_divergence(self):
         theta0, theta1 = exp_pair()
@@ -189,10 +291,18 @@ class TestKlTerms:
         with pytest.raises(NumericError):
             kl_terms(low, ref, ())
 
+    def test_runaway_link_raises_numeric_error(self):
+        # Y climbs by 2e4 across one cell, which would take 2e4 pieces
+        grid = TimeGrid((0.0, 1.0, 20.0))
+        steep = Theta.from_values(2.0, grid, [[0.0, 2e4, 2e4]])
+        with pytest.raises(NumericError):
+            kl_terms(steep, Theta.constant(1.0, 0, 20.0), ())
+        assert moment_checks(steep, "NRD", xs=[()], m=5.0).inconclusive
+
     def test_cutoff_past_horizon_rejected(self):
         theta0, theta1 = exp_pair(horizon=10.0)
         with pytest.raises(DomainError):
-            kl_terms(theta0, theta1, (), Quadrature(t_cut=15.0))
+            kl_terms(theta0, theta1, (), 15.0)
 
     def test_dimension_mismatch_rejected(self):
         theta0 = Theta.constant(2.0, 0, 10.0)
@@ -432,6 +542,16 @@ class TestMomentsFor:
         true_tail = 3.0 * math.exp(-2.0)
         assert true_tail <= mom.e_t_tail <= true_tail + 1e-4
 
+    def test_random_truth_matches_cellwise_quad(self):
+        theta0 = random_theta0(1, seed=81)
+        x, tau = (0.35,), 3.0
+        e_t, e_t2, s = moment_oracle(theta0, x, 20.0, [0.0, tau])
+        mom = moments_for(theta0, x, tau)
+        assert_allclose(
+            [mom.e_t, mom.e_t2, mom.e_t_tail, mom.p_tail], [e_t[0], e_t2[0], e_t[1], s[1]],
+            rtol=1e-12, atol=0,
+        )
+
     def test_tau_outside_cutoff_rejected(self):
         theta0 = Theta.constant(2.0, 0, 20.0)
         with pytest.raises(DomainError):
@@ -454,6 +574,18 @@ class TestMomentChecks:
         assert report.ladder_decreasing
         for n, value in report.truncation_ladder:
             assert_allclose(value, (n + 1.0) * math.exp(-n), rtol=0, atol=1e-5)
+
+    def test_random_truth_ladder_matches_cellwise_quad(self):
+        theta0 = random_theta0(1, seed=82)
+        ns = [1.0, 2.0, 4.0, 8.0]
+        report = moment_checks(theta0, "NRD", xs=[(0.2,), (0.9,)], m=10.0)
+        e_t, e_t2 = np.max([moment_oracle(theta0, x, 20.0, [0.0, 10.0, *ns])[:2]
+                            for x in [(0.2,), (0.9,)]], axis=0)
+        assert [n for n, _ in report.truncation_ladder] == ns
+        assert_allclose(
+            [report.a3_estimate, report.a3prime_worst, *(v for _, v in report.truncation_ladder)],
+            [e_t[0], e_t2[1], *e_t[2:]], rtol=1e-12, atol=0,
+        )
 
     def test_small_horizon_is_inconclusive(self):
         theta0 = Theta.constant(2.0, 0, 5.0)
@@ -483,6 +615,8 @@ class TestMomentChecks:
             moment_checks(theta0, "RD", m=10.0)
         with pytest.raises(DomainError):
             moment_checks(theta0, "NRD", xs=[], m=10.0)
+        with pytest.raises(DomainError):
+            moment_checks(theta0, "RD", q_grid=UniformQ(1), m=10.0)
 
     def test_record_is_flat_json(self):
         theta0 = Theta.constant(2.0, 0, 40.0)
