@@ -38,7 +38,7 @@ from .bounds import (
     tau_star,
 )
 from .errors import ConfigError, GpHazardError
-from .gp_paths import TimeGrid, sample_path
+from .gp_paths import TimeGrid, _covariance_cholesky, sample_path
 from .hazard import SurvivalDataset, Theta, UniformQ, generate_dataset
 from .inference import (
     ExperimentSpec,
@@ -124,7 +124,6 @@ _SCHEMAS = {
         "iterations": ("int", 900),
         "burn_in": ("int", 300),
         "thinning": ("int", 6),
-        "proposal_scale_omega": ("number", 0.25),
         "proposal_scale_path": ("number", 0.3),
         "metric_time_knots": ("int", 33),
     },
@@ -141,6 +140,13 @@ _CHOICES = {
     ("simulate", "design"): ("RD", "NRD"),
     ("test-stat", "design"): ("RD", "NRD"),
     ("check-assumptions", "kernel"): ("se", "ou", "constant"),
+}
+
+# lower bounds of the counts a command body uses before any library call checks them
+_MINIMA = {
+    ("kl", "members"): 1,
+    ("consistency", "knots"): 2,
+    ("consistency", "metric_time_knots"): 2,
 }
 
 
@@ -171,7 +177,11 @@ def _check_number(name: str, value):
 
 def _coerce(command: str, name: str, kind: str, value):
     if kind == "int":
-        return _check_int(name, value)
+        value = _check_int(name, value)
+        least = _MINIMA.get((command, name))
+        if least is not None and value < least:
+            raise ConfigError(f"parameter '{name}' must be >= {least}, got {value}")
+        return value
     if kind == "number":
         return _check_number(name, value)
     if kind == "string":
@@ -375,6 +385,8 @@ def _cmd_simulate(p: dict, seed: int, out: Path):
         "design": dataset.design,
         "horizon": dataset.horizon,
         "kernel": kernel.describe(),
+        # the cached factor behind sample_path; a cache hit here
+        "jitter": _covariance_cholesky(kernel, grid.points)[1],
         "dataset": "dataset.csv",
         "truth": "truth.csv",
     }
@@ -481,7 +493,6 @@ def _cmd_consistency(p: dict, seed: int, out: Path):
             iterations=p["iterations"],
             burn_in=p["burn_in"],
             thinning=p["thinning"],
-            proposal_scale_omega=p["proposal_scale_omega"],
             proposal_scale_path=p["proposal_scale_path"],
             seed=0,
         ),
@@ -493,6 +504,8 @@ def _cmd_consistency(p: dict, seed: int, out: Path):
     report = consistency_experiment(spec)
     (out / "cells.csv").write_text(report.to_csv())
     payload = report.as_record()
+    # every cell's chain factors the same kernels on the same knots
+    payload["jitter"] = [_covariance_cholesky(k, spec.knots)[1] for k in kernels]
     return (0 if report.consistent_trend else 2), payload, ["cells.csv"]
 
 

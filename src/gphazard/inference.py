@@ -3,10 +3,12 @@
 The sampler works on a finite-dimensional surrogate of the path prior:
 each latent path is represented by its values at K fixed knots and
 linearly interpolated in between, so the prior on a path is the
-multivariate normal its kernel induces at the knots.  Updates are
-random-walk Metropolis for the hazard scale and prior-reversible
-whole-path moves for the paths, accepted on the likelihood ratio alone.
-K is a convergence knob, not part of the model; reports carry it.
+multivariate normal its kernel induces at the knots.  Each Gibbs
+scan moves every path by a prior-reversible whole-path proposal,
+accepted on the likelihood ratio alone, then draws the hazard scale
+exactly from its Gamma full conditional: the likelihood in omega is
+omega^n exp(-omega I), conjugate to the Gamma prior.  K is a
+convergence knob, not part of the model; reports carry it.
 
 The consistency experiment generates datasets of growing size from a
 fixed truth, runs the sampler on each, and tracks how much posterior
@@ -155,7 +157,6 @@ class McmcConfig:
     iterations: int
     burn_in: int
     thinning: int
-    proposal_scale_omega: float
     proposal_scale_path: float
     seed: int
 
@@ -174,8 +175,6 @@ class McmcConfig:
             )
         if self.thinning < 1:
             raise DomainError(f"thinning must be >= 1, got {self.thinning}")
-        if not (np.isfinite(self.proposal_scale_omega) and self.proposal_scale_omega > 0):
-            raise DomainError("proposal_scale_omega must be positive")
         if not (np.isfinite(self.proposal_scale_path) and 0 < self.proposal_scale_path <= 1):
             raise DomainError("proposal_scale_path must lie in (0, 1]")
 
@@ -263,37 +262,44 @@ def log_posterior(rep: ThetaRep, dataset: SurvivalDataset, prior: ModelPrior) ->
     return lik + _path_log_prior(rep.values, rep.knots, prior.kernels) + prior.omega.logpdf(rep.omega)
 
 
-def _pcn_step(row, chol, beta, loglik_fn, current_ll, rng):
-    """One prior-reversible path update, accepted on likelihood ratio.
+def _pcn_step(values, j, chol, beta, omega, parts, current, rng):
+    """One prior-reversible move of path j, accepted on the likelihood ratio.
 
-    The proposal sqrt(1-beta^2) row + beta noise leaves the prior
+    The proposal sqrt(1-beta^2) row + beta noise leaves the path prior
     invariant, so the prior density cancels from the acceptance ratio.
-    Returns (row, loglik, accepted).
+    parts maps a values matrix to its likelihood pieces (s, i), with log
+    likelihood s - omega * i up to terms free of the paths; current is
+    parts(values).  A zero log ratio accepts without drawing a uniform.
+    Returns (values, pieces, accepted); the input matrix is not modified.
     """
-    noise = chol @ rng.standard_normal(len(row))
-    prop = math.sqrt(1.0 - beta * beta) * np.asarray(row, dtype=float) + beta * noise
-    ll = float(loglik_fn(prop))
-    delta = ll - current_ll
+    prop = values.copy()
+    noise = chol @ rng.standard_normal(values.shape[1])
+    prop[j] = math.sqrt(1.0 - beta * beta) * values[j] + beta * noise
+    s, i = parts(prop)
+    delta = (s - current[0]) - omega * (i - current[1])
     if delta >= 0.0 or rng.random() < math.exp(max(delta, -745.0)):
-        return prop, ll, True
-    return np.asarray(row, dtype=float), current_ll, False
+        return prop, (s, i), True
+    return values, current, False
 
 
 @dataclass(frozen=True)
 class McmcReport:
-    """Thinned post-burn-in draws plus per-block acceptance accounting."""
+    """Thinned post-burn-in draws plus path acceptance accounting."""
 
     draws: tuple
-    acceptance_omega: float
     acceptance_paths: float
     warnings: tuple
     knots: tuple
     prior_only: bool
 
+    @property
+    def acceptance_omega(self) -> float:
+        """Always 1.0: the scale is an exact Gibbs draw, never rejected."""
+        return 1.0
+
     def as_record(self) -> dict:
         return {
             "n_draws": len(self.draws),
-            "acceptance_omega": self.acceptance_omega,
             "acceptance_paths": self.acceptance_paths,
             "warnings": list(self.warnings),
             "n_knots": len(self.knots),
@@ -308,110 +314,57 @@ def mcmc_run(
     knots,
     prior_only: bool = False,
 ) -> McmcReport:
-    """Random-walk sampler over (omega, path values at knots).
+    """Gibbs sampler over (omega, path values at knots).
 
-    Blocks per iteration: a multiplicative log-normal move on omega
-    (Metropolis-Hastings against prior times likelihood), then one
-    prior-reversible move per path accepted on the likelihood ratio.
-    With prior_only the likelihood is dropped: path moves always accept
-    and omega targets its prior, which makes the draws a prior sample
-    for calibration checks.  Deterministic given config.seed.
+    One scan per iteration: a prior-reversible move per path, accepted
+    on the likelihood ratio at the current omega, then an exact draw
+    omega ~ Gamma(a + n, b + I) from its full conditional, where I sums
+    the integrated link over [0, t_i] at the current paths.  Each
+    recorded omega is therefore an exact draw given that draw's paths.
+    With prior_only the likelihood is dropped (n = 0, I = 0): path moves
+    always accept and omega is drawn from its prior, which makes the
+    draws a prior sample for calibration checks.  Deterministic given
+    config.seed.
 
-    Acceptance rates are measured after burn_in; rates below 1% or
-    above 99% are reported as warnings, not errors.
+    Path acceptance is measured after burn_in; a rate below 1% or above
+    99% is reported as a warning, not an error.
     """
     kn = tuple(float(t) for t in np.asarray(knots, dtype=float))
     if len(kn) < 2 or kn[0] != 0.0 or not all(b > a for a, b in zip(kn, kn[1:])):
         raise DomainError("knots must start at 0 and increase strictly")
     d = len(prior.kernels) - 1
-    lik = None
-    if not prior_only:
+    if prior_only:
+        n, parts = 0, lambda values: (0.0, 0.0)
+    else:
         if dataset is None or dataset.n == 0:
             raise DomainError("dataset must be nonempty unless prior_only")
         if dataset.d != d:
             raise DomainError(f"dataset has d={dataset.d}, prior covers d={d}")
-        lik = _Likelihood(dataset, kn)
-    n = 0 if lik is None else lik.n
+        n, parts = dataset.n, _Likelihood(dataset, kn).parts
 
-    k = len(kn)
     chols = [_covariance_cholesky(kernel, kn)[0] for kernel in prior.kernels]
     rng = np.random.default_rng(config.seed)
-    beta = config.proposal_scale_path
+    shape, rate = prior.omega.shape + n, prior.omega.rate
 
     omega = prior.omega.mean
-    values = np.vstack([chol @ rng.standard_normal(k) for chol in chols])
-    s_cur, i_cur = lik.parts(values) if lik is not None else (0.0, 0.0)
-
+    values = np.vstack([chol @ rng.standard_normal(len(kn)) for chol in chols])
+    current = parts(values)
     draws = []
-    acc = {"omega": 0, "paths": 0}
-    tries = {"omega": 0, "paths": 0}
-    post_burn = lambda it: it >= config.burn_in
-
-    stash = [None]
-
-    def path_ll(candidate_rows):
-        s, i = lik.parts(candidate_rows)
-        stash[0] = (s, i)
-        return s - omega * i
-
+    accepted = 0
     for it in range(config.iterations):
-        # omega block
-        z = rng.standard_normal()
-        w_new = omega * math.exp(config.proposal_scale_omega * z)
-        hastings = math.log(w_new / omega)
-        if prior_only:
-            delta = prior.omega.logpdf(w_new) - prior.omega.logpdf(omega) + hastings
-        else:
-            delta = (
-                n * (math.log(w_new) - math.log(omega))
-                - (w_new - omega) * i_cur
-                + prior.omega.logpdf(w_new)
-                - prior.omega.logpdf(omega)
-                + hastings
+        for j, chol in enumerate(chols):
+            values, current, ok = _pcn_step(
+                values, j, chol, config.proposal_scale_path, omega, parts, current, rng
             )
-        if post_burn(it):
-            tries["omega"] += 1
-        if delta >= 0.0 or rng.random() < math.exp(max(delta, -745.0)):
-            omega = w_new
-            if post_burn(it):
-                acc["omega"] += 1
-
-        # path blocks
-        for j in range(d + 1):
-            if post_burn(it):
-                tries["paths"] += 1
-            if prior_only:
-                noise = chols[j] @ rng.standard_normal(k)
-                values[j] = math.sqrt(1.0 - beta * beta) * values[j] + beta * noise
-                if post_burn(it):
-                    acc["paths"] += 1
-                continue
-            cur_ll = s_cur - omega * i_cur
-
-            def one_path_ll(row, j=j):
-                cand = values.copy()
-                cand[j] = row
-                return path_ll(cand)
-
-            row, _, accepted = _pcn_step(values[j], chols[j], beta, one_path_ll, cur_ll, rng)
-            if accepted:
-                values[j] = row
-                s_cur, i_cur = stash[0]
-                if post_burn(it):
-                    acc["paths"] += 1
-
-        if post_burn(it) and (it - config.burn_in) % config.thinning == 0:
+            accepted += ok and it >= config.burn_in
+        omega = float(rng.gamma(shape, 1.0 / (rate + current[1])))
+        if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:
             draws.append(
                 ThetaRep(omega, kn, tuple(tuple(float(v) for v in row) for row in values))
             )
 
-    rate_omega = acc["omega"] / tries["omega"] if tries["omega"] else 0.0
-    rate_paths = acc["paths"] / tries["paths"] if tries["paths"] else 0.0
+    rate_paths = accepted / ((config.iterations - config.burn_in) * (d + 1))
     warnings = []
-    if rate_omega < 0.01:
-        warnings.append(f"omega acceptance rate {rate_omega:.4f} below 1% after burn-in")
-    elif rate_omega > 0.99:
-        warnings.append(f"omega acceptance rate {rate_omega:.4f} above 99% after burn-in")
     if not prior_only:
         # prior-only path moves accept by construction, nothing to flag
         if rate_paths < 0.01:
@@ -421,7 +374,6 @@ def mcmc_run(
 
     return McmcReport(
         draws=tuple(draws),
-        acceptance_omega=rate_omega,
         acceptance_paths=rate_paths,
         warnings=tuple(warnings),
         knots=kn,
@@ -490,6 +442,8 @@ class ExperimentSpec:
         if not 0 < self.horizon <= self.theta0.horizon:
             raise DomainError("horizon must be positive and within the truth's grid")
         kn = tuple(float(t) for t in self.knots)
+        if len(kn) < 2:
+            raise DomainError(f"need at least 2 knots, got {len(kn)}")
         if kn[-1] < self.theta0.horizon:
             raise DomainError(
                 "knots must cover the truth horizon; censored records are retried "
@@ -503,7 +457,6 @@ class CellResult:
     n: int
     rep: int
     outside_mass: float
-    acceptance_omega: float
     acceptance_paths: float
     wall_time: float
     error: str = ""
@@ -521,12 +474,9 @@ class ExperimentReport:
     epsilon: float
 
     def to_csv(self) -> str:
-        lines = ["n,rep,outside_mass,acceptance_omega,acceptance_paths,wall_time"]
+        lines = ["n,rep,outside_mass,acceptance_paths,wall_time"]
         for c in self.cells:
-            lines.append(
-                f"{c.n},{c.rep},{c.outside_mass!r},{c.acceptance_omega!r},"
-                f"{c.acceptance_paths!r},{c.wall_time!r}"
-            )
+            lines.append(f"{c.n},{c.rep},{c.outside_mass!r},{c.acceptance_paths!r},{c.wall_time!r}")
         return "\n".join(lines) + "\n"
 
     def as_record(self) -> dict:
@@ -575,7 +525,6 @@ def consistency_experiment(spec: ExperimentSpec) -> ExperimentReport:
                         n=n,
                         rep=rep,
                         outside_mass=mass,
-                        acceptance_omega=run.acceptance_omega,
                         acceptance_paths=run.acceptance_paths,
                         wall_time=time.perf_counter() - start,
                         warnings=run.warnings,
@@ -587,7 +536,6 @@ def consistency_experiment(spec: ExperimentSpec) -> ExperimentReport:
                         n=n,
                         rep=rep,
                         outside_mass=math.nan,
-                        acceptance_omega=math.nan,
                         acceptance_paths=math.nan,
                         wall_time=time.perf_counter() - start,
                         error=str(exc),

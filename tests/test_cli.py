@@ -82,6 +82,10 @@ class TestParseConfig:
         doc["parameters"]["bar"] = 1
         with pytest.raises(ConfigError, match="'bar'"):
             parse_config(json.dumps(doc))
+        # the hazard scale is a Gibbs draw with nothing to tune
+        doc = {"command": "consistency", "parameters": {"proposal_scale_omega": 0.25}}
+        with pytest.raises(ConfigError, match="unknown parameter 'proposal_scale_omega'"):
+            parse_config(json.dumps(doc))
 
     def test_missing_command(self):
         with pytest.raises(ConfigError, match="'command'"):
@@ -251,8 +255,9 @@ class TestRun:
         assert manifest["wall_time_s"] > 0
         for lib in ("gphazard", "numpy", "scipy", "python"):
             assert lib in manifest["versions"]
-        report = json.loads((d / "report.json").read_text())
+        report = json.loads((d / "report.json").read_text(), parse_constant=reject_constant)
         assert report["n"] == 20
+        assert report["jitter"] == JITTER_FACTOR  # kappa(0) = 1
         back = ingest_dataset(d / "dataset.csv")
         assert back.n == 20
 
@@ -391,8 +396,8 @@ class TestRun:
             "command": "consistency",
             "seed": 17,
             "parameters": {
-                "n_ladder": [20, 80, 320],
-                "replications": 1,
+                "n_ladder": [20, 160, 1280],
+                "replications": 2,
                 "epsilon": 0.08,
                 "horizon": 8.0,
                 "knots": 5,
@@ -402,11 +407,13 @@ class TestRun:
         }
         status, dirs = run_doc(tmp_path, doc)
         assert status == 0
-        report = json.loads((dirs[0] / "report.json").read_text())
+        report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject_constant)
         assert report["consistent_trend"] is True
         assert report["spearman"] <= -0.8
+        assert report["jitter"] == [JITTER_FACTOR]  # one path, kappa(0) = 1
         cells = (dirs[0] / "cells.csv").read_text().strip().split("\n")
-        assert len(cells) == 4
+        assert cells[0] == "n,rep,outside_mass,acceptance_paths,wall_time"
+        assert len(cells) == 7
 
     def test_default_consistency_writes_strict_json(self, tmp_path):
         # the default ladder puts no posterior mass outside the ball at any
@@ -420,22 +427,57 @@ class TestRun:
         assert report["consistent_trend"] is False
 
     def test_consistency_reports_chain_warnings(self, tmp_path):
-        # the dead omega block of test_inference: log-scale steps of sd 60
+        # whole fresh prior paths (proposal scale 1) against 4000 records
+        # almost never beat the current path's likelihood: 0.1-0.4% of
+        # moves accept over seeds 0-3, where 2000 records straddle the 1% line
         doc = {
             "command": "consistency",
             "parameters": {
-                "n_ladder": [300], "replications": 1, "horizon": 10.0, "knots": 4,
+                "n_ladder": [4000], "replications": 1, "horizon": 10.0, "knots": 8,
                 "iterations": 3100, "burn_in": 100, "thinning": 2,
-                "proposal_scale_omega": 60.0, "proposal_scale_path": 0.999,
-                "metric_time_knots": 17,
+                "proposal_scale_path": 1.0, "metric_time_knots": 17,
             },
         }
         _, dirs = run_doc(tmp_path, doc)
 
         report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject_constant)
         (cell,) = report["warnings"]
-        assert (cell["n"], cell["rep"]) == (300, 0)
-        assert any("omega acceptance rate" in w and "below 1%" in w for w in cell["messages"])
+        assert (cell["n"], cell["rep"]) == (4000, 0)
+        assert any("path acceptance rate" in w and "below 1%" in w for w in cell["messages"])
+
+    @pytest.mark.parametrize(
+        "command, name, value, message",
+        [
+            ("kl", "members", 0, "'members' must be >= 1"),
+            ("kl", "members", -3, "'members' must be >= 1"),
+            ("kl", "d", -1, "d must be a nonnegative integer"),
+            ("consistency", "knots", 1, "'knots' must be >= 2"),
+            ("consistency", "knots", -3, "'knots' must be >= 2"),
+            ("consistency", "metric_time_knots", -1, "'metric_time_knots' must be >= 2"),
+            ("consistency", "replications", 0, "replications must be >= 1"),
+            ("consistency", "iterations", 0, "iterations must be >= 1"),
+            ("consistency", "thinning", -1, "thinning must be >= 1"),
+            ("consistency", "d", -1, "baseline path"),
+            ("simulate", "n", 0, "n must be >= 1"),
+            ("simulate", "d", -1, "baseline path"),
+            ("test-stat", "n", -1, "n must be >= 1"),
+            ("verify-bounds", "reps", 0, "reps must be >= 100"),
+            ("verify-bounds", "level", -1, "level must be >= 0"),
+            ("check-assumptions", "n_max", 0, "n_max must be >= 1"),
+        ],
+    )
+    def test_bad_counts_give_status_one(self, tmp_path, capsys, command, name, value, message):
+        required = {
+            "simulate": {"n": 20, "omega0": 2.0, "kernel": "se"},
+            "test-stat": {"epsilon": 0.3},
+            "kl": {"delta": 0.1, "tau": 2.0},
+            "consistency": {"n_ladder": [10]},
+            "check-assumptions": {"kernel": "se"},
+        }
+        parameters = {**required.get(command, {}), name: value}
+        path = make_config(tmp_path, {"command": command, "parameters": parameters})
+        assert main(["--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
 
     def test_execution_error_gives_status_one(self, tmp_path, capsys):
         doc = {
