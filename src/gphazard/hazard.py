@@ -23,10 +23,8 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DomainError, GenerationError
-from .gp_paths import DyadicGrid, GpPath, TimeGrid, h_weight
+from .gp_paths import CI_Z, MC_MIN_REPS, DyadicGrid, GpPath, TimeGrid, h_weight
 
-MC_MIN_REPS = 100
-CI_Z = 1.96
 MAX_HORIZON_DOUBLINGS = 10
 # Below this change of the link across a segment the softplus quotient
 # loses digits to cancellation and the midpoint expansion takes over;
@@ -61,7 +59,9 @@ class Covariate:
 
 
 def _as_covariate(x, d: int) -> Covariate:
-    cov = x if isinstance(x, Covariate) else Covariate(tuple(np.atleast_1d(x))) if np.ndim(x) else Covariate((float(x),))
+    """x as a Covariate of d coordinates; scalars and arrays of any shape
+    give their coordinates in row-major order."""
+    cov = x if isinstance(x, Covariate) else Covariate(tuple(np.asarray(x, dtype=float).ravel()))
     if cov.d != d:
         raise DomainError(f"covariate has {cov.d} coordinates, model expects {d}")
     return cov

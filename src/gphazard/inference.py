@@ -31,7 +31,9 @@ from .errors import DomainError, GpHazardError, NumericError
 from .gp_paths import TimeGrid, _covariance_cholesky
 from .hazard import SurvivalDataset, Theta, _link_integral, generate_dataset
 from .kernels import StationaryKernel
-from .vc import GridSpec, sup_deviation_metric
+# sup_deviation_metric is bound here for bench/tracing.py, which wraps it
+# in every module that imports it
+from .vc import GridSpec, _BoxTable, sup_deviation_metric  # noqa: F401
 
 __all__ = [
     "ThetaRep",
@@ -357,7 +359,10 @@ def mcmc_run(
                 values, j, chol, config.proposal_scale_path, omega, parts, current, rng
             )
             accepted += ok and it >= config.burn_in
-        omega = float(rng.gamma(shape, 1.0 / (rate + current[1])))
+        # at a small prior shape (prior-only runs) the exact draw can fall
+        # below the smallest subnormal and round to 0.0; it is stored as the
+        # smallest normal double, which keeps the law up to representation
+        omega = float(rng.gamma(shape, 1.0 / (rate + current[1]))) or np.finfo(float).tiny
         if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:
             draws.append(
                 ThetaRep(omega, kn, tuple(tuple(float(v) for v in row) for row in values))
@@ -389,17 +394,20 @@ def posterior_outside_mass(
     q_grid,
     grid: GridSpec,
 ) -> float:
-    """Fraction of draws farther than epsilon from theta0 in the sup metric."""
+    """Fraction of draws farther than epsilon from theta0 in the sup metric.
+
+    The atoms and theta0's survival rows are resolved once per call; each
+    draw then costs one survival_matrix call and one box table, the same
+    computation as sup_deviation_metric(draw, theta0, ...), with the same
+    memory bound per table.
+    """
     draws = tuple(draws)
     if not draws:
         raise DomainError("need at least one draw")
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise DomainError(f"epsilon must be a positive real, got {epsilon}")
-    outside = 0
-    for rep in draws:
-        value = sup_deviation_metric(rep.to_theta(), theta0, design, q_grid, grid).value
-        if value > epsilon:
-            outside += 1
+    table = _BoxTable(theta0, design, q_grid, grid)
+    outside = sum(table.deviation(rep.to_theta()).value > epsilon for rep in draws)
     return outside / len(draws)
 
 

@@ -26,8 +26,8 @@ from scipy.special import expit, polygamma
 
 from .errors import DomainError, GenerationError, NumericError
 from .gp_paths import h_weight
-from .hazard import Covariate, HazardCurve, Theta, log_sigmoid, survival_matrix
-from .vc import QAtoms, q_atoms_from_law
+from .hazard import Covariate, HazardCurve, Theta, _as_covariate, log_sigmoid, survival_matrix
+from .vc import resolve_atoms
 
 T_CUT_SCALE = 40.0
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
@@ -226,16 +226,6 @@ def kl_terms(theta0: Theta, theta: Theta, x, t_cut: float | None = None) -> KlTe
     return KlTerms(k, v, k_body, k_tail, v2_body, v2_tail, sigma_min, t_cut)
 
 
-def _coerce_x(x, d: int) -> Covariate:
-    if isinstance(x, Covariate):
-        cov = x
-    else:
-        cov = Covariate(tuple(np.asarray(x, dtype=float).ravel()))
-    if cov.d != d:
-        raise DomainError(f"covariate has {cov.d} coordinates, model expects {d}")
-    return cov
-
-
 @dataclass(frozen=True)
 class KlAggregate:
     """Design-level reduction of per-covariate divergence terms."""
@@ -276,7 +266,7 @@ def kl_aggregate(
     if design == "RD":
         if q_grid is None:
             raise DomainError("RD aggregation needs a covariate law or atoms")
-        atoms = q_grid if isinstance(q_grid, QAtoms) else q_atoms_from_law(q_grid)
+        atoms = resolve_atoms("RD", q_grid)
         if atoms.d != d:
             raise DomainError(f"atoms have d={atoms.d}, model expects {d}")
         per = []
@@ -289,7 +279,7 @@ def kl_aggregate(
     if design == "NRD":
         if xs is None or not len(xs):
             raise DomainError("NRD aggregation needs the fixed covariate list")
-        coords = [_coerce_x(x, d).coords for x in xs]
+        coords = [_as_covariate(x, d).coords for x in xs]
         cache: dict = {}
         for c in coords:
             if c not in cache:
@@ -430,7 +420,7 @@ def link_sup_check(theta: Theta, theta0: Theta, params: BSetParams, x_samples) -
     sig_gap = 0.0
     log_gap = 0.0
     for x in x_samples:
-        cov = _coerce_x(x, theta.d)
+        cov = _as_covariate(x, theta.d)
         w = np.concatenate([[1.0], cov.as_array()])
         y = w @ eta
         y0 = w @ eta0
@@ -566,7 +556,7 @@ def moments_for(theta0: Theta, x, tau: float, t_cut: float | None = None) -> Mom
     t_cut = _cutoff(t_cut, theta0)
     if not 0 < tau < t_cut:
         raise DomainError(f"tau must sit inside (0, {t_cut}), got {tau}")
-    row = _coerce_x(x, theta0.d).as_array()[None, :]
+    row = _as_covariate(x, theta0.d).as_array()[None, :]
     (e_t, e_t_tail), (e_t2, _), (_, p_tail) = _survival_moments(theta0, row, t_cut, [0, tau])[:, 0]
     return MomentInputs(float(e_t), float(e_t_tail), float(p_tail), float(e_t2))
 
@@ -622,7 +612,7 @@ def moment_checks(
     if design == "RD":
         if q_grid is None:
             raise DomainError("RD checks need a covariate law or atoms")
-        atoms = q_grid if isinstance(q_grid, QAtoms) else q_atoms_from_law(q_grid)
+        atoms = resolve_atoms("RD", q_grid)
         if atoms.d != theta0.d:
             raise DomainError(f"atoms have d={atoms.d}, model expects {theta0.d}")
         rows = atoms.nodes_array()
@@ -630,7 +620,7 @@ def moment_checks(
     elif design == "NRD":
         if xs is None or not len(xs):
             raise DomainError("NRD checks need the fixed covariate list")
-        seen = list(dict.fromkeys(_coerce_x(x, theta0.d).coords for x in xs))
+        seen = list(dict.fromkeys(_as_covariate(x, theta0.d).coords for x in xs))
         rows = np.asarray(seen, dtype=float).reshape(len(seen), theta0.d)
         weights = None
     else:

@@ -4,7 +4,8 @@ The comparison class consists of rectangles [a,b] x B, where [a,b] is a
 time interval and B a product of coordinate intervals in the covariate
 cube.  A parameter theta induces a law mu_theta of (T, X); the distance
 between parameters is the supremum over rectangles of the difference in
-mass, realized as a maximum over grid-anchored rectangles.  The test
+mass, realized as a maximum over grid-anchored rectangles, taken for all
+covariate boxes at once from one prefix-sum table per parameter.  The test
 statistic compares the empirical measure of a dataset against a reference
 parameter over rectangles anchored on the data coordinates.  Its maximum
 is found exactly by a best-first branch and bound over covariate anchor
@@ -222,11 +223,8 @@ def empirical_measure(dataset: SurvivalDataset, rect: Rectangle) -> float:
     if rect.d != dataset.d:
         raise DomainError(f"rectangle has {rect.d} covariate axes, data has {dataset.d}")
     times = dataset.times_array()
-    xs = dataset.covariates_array()
     a, b = rect.time
-    mask = (times >= a) & (times <= b)
-    for j, (lo, hi) in enumerate(rect.box):
-        mask &= (xs[:, j] >= lo) & (xs[:, j] <= hi)
+    mask = (times >= a) & (times <= b) & _box_mask(dataset.covariates_array(), rect.box)
     return float(mask.mean())
 
 
@@ -240,86 +238,80 @@ class MetricResult:
     rectangles: int
 
 
+class _BoxTable:
+    """The sup-deviation metric against one reference parameter.
+
+    For a covariate box B the best time interval over the knots is the
+    range of D_B(t) = sum_{x in B} w_x (S_x - S^ref_x)(t).  On an axis with
+    knots k_0..k_{K-1} an atom falls in one of 2K + 1 slots: below k_0, on
+    k_i (slot 2i + 1), between k_i and k_(i+1) (slot 2i + 2), or above
+    k_(K-1); the closed box [k_i, k_j] covers slots 2i + 1..2j + 1.  The
+    weighted difference rows are scattered into the slot table, and per
+    axis one cumulative sum and one difference over the knot pairs i < j
+    give D_B for every box at once, in row-major (i_0, j_0, i_1, j_1)
+    order; at d = 0 the table is the sum of the rows.  Atoms, slots and
+    the reference rows are resolved once for every compared parameter;
+    survival_matrix refuses time knots past either horizon.
+    """
+
+    def __init__(self, theta_ref: Theta, design: str, q_grid, grid: GridSpec):
+        d = theta_ref.d
+        if len(grid.covariate_knots) != d:
+            raise DomainError(f"grid has {len(grid.covariate_knots)} covariate axes, theta has {d}")
+        if d > 2:
+            raise DomainError("rectangle enumeration supports d <= 2")
+        self.count = grid.rectangle_count()
+        if self.count > MAX_RECTANGLES:
+            raise CapacityError(
+                f"{self.count} rectangles exceed the cap of {MAX_RECTANGLES}; use a coarser grid"
+            )
+        atoms = resolve_atoms(design, q_grid)
+        if atoms.d != d:
+            raise DomainError(f"atoms have d={atoms.d}, theta has d={d}")
+        self.ts = np.asarray(grid.time_knots)
+        self.nodes, self.weights = atoms.nodes_array(), atoms.weights_array()
+        self.ref = survival_matrix(theta_ref, self.nodes, self.ts)
+        self.knots = [np.asarray(k) for k in grid.covariate_knots]
+        self.shape = tuple(2 * len(k) + 1 for k in self.knots)
+        slots = [np.searchsorted(k, x, "left") + np.searchsorted(k, x, "right")
+                 for k, x in zip(self.knots, self.nodes.T)]
+        self.slot = np.ravel_multi_index(slots, self.shape) if d else np.zeros(len(self.nodes), int)
+        self.pairs = [np.triu_indices(len(k), 1) for k in self.knots]
+
+    def deviation(self, theta: Theta) -> MetricResult:
+        """max over grid rectangles of |mu_theta - mu_ref|, with one maximizer."""
+        diff = survival_matrix(theta, self.nodes, self.ts) - self.ref
+        diff *= self.weights[:, None]
+        table = np.zeros((math.prod(self.shape), len(self.ts)))
+        np.add.at(table, self.slot, diff)
+        table = table.reshape(*self.shape, len(self.ts))
+        for axis, (i, j) in enumerate(self.pairs):
+            cum = np.cumsum(table, axis=axis)
+            table = np.take(cum, 2 * j + 1, axis=axis)
+            table -= np.take(cum, 2 * i, axis=axis)
+        table = table.reshape(-1, len(self.ts))
+        box = int(np.argmax(table.max(axis=1) - table.min(axis=1)))
+        hi_k, lo_k = int(np.argmax(table[box])), int(np.argmin(table[box]))
+        at = np.unravel_index(box, [len(i) for i, _ in self.pairs])
+        rect = Rectangle(
+            time=tuple(sorted((self.ts[hi_k], self.ts[lo_k]))),
+            box=tuple((k[i[p]], k[j[p]]) for k, (i, j), p in zip(self.knots, self.pairs, at)),
+        )
+        return MetricResult(float(table[box, hi_k] - table[box, lo_k]), rect, self.count)
+
+
 def sup_deviation_metric(theta_a: Theta, theta_b: Theta, design: str, q_grid, grid: GridSpec) -> MetricResult:
     """max over grid rectangles of |mu_a - mu_b|, with one maximizer.
 
-    For a fixed covariate box B the best time interval over the knots is
-    the range of D_B(t) = sum_{x in B} w_x (S^a_x - S^b_x)(t), so only
-    boxes are enumerated; the rectangle count is still capped.
+    The one-parameter case of _BoxTable with theta_b as the reference.
+    Ties go to the first box in (i_0, j_0, i_1, j_1) order, then to the
+    first time knots.  Each table built holds at most 5^d P T doubles for
+    P boxes and T time knots, and P T = 2 rectangle_count() / (T - 1), so
+    MAX_RECTANGLES bounds memory; the rectangle count is capped first.
     """
     if theta_a.d != theta_b.d:
         raise DomainError("thetas must share the covariate dimension")
-    d = theta_a.d
-    if len(grid.covariate_knots) != d:
-        raise DomainError(f"grid has {len(grid.covariate_knots)} covariate axes, theta has {d}")
-    if d > 2:
-        raise DomainError("rectangle enumeration supports d <= 2")
-    count = grid.rectangle_count()
-    if count > MAX_RECTANGLES:
-        raise CapacityError(
-            f"{count} rectangles exceed the cap of {MAX_RECTANGLES}; use a coarser grid"
-        )
-    ts = np.asarray(grid.time_knots)
-    horizon = min(theta_a.horizon, theta_b.horizon)
-    if ts[-1] > horizon:
-        raise DomainError(f"time knots reach past the grid horizon {horizon}")
-    atoms = resolve_atoms(design, q_grid)
-    if atoms.d != d:
-        raise DomainError(f"atoms have d={atoms.d}, theta has d={d}")
-    nodes = atoms.nodes_array()
-    weights = atoms.weights_array()
-    diff = survival_matrix(theta_a, nodes, ts) - survival_matrix(theta_b, nodes, ts)
-    diff *= weights[:, None]
-
-    best = (-1.0, None)
-
-    def consider(curve: np.ndarray, box) -> None:
-        nonlocal best
-        hi_k = int(np.argmax(curve))
-        lo_k = int(np.argmin(curve))
-        value = float(curve[hi_k] - curve[lo_k])
-        if value > best[0]:
-            t_pair = tuple(sorted((ts[hi_k], ts[lo_k])))
-            best = (value, Rectangle(time=t_pair, box=box))
-
-    if d == 0:
-        consider(diff.sum(axis=0), ())
-    elif d == 1:
-        order = np.argsort(nodes[:, 0], kind="stable")
-        pref = np.concatenate([np.zeros((1, len(ts))), np.cumsum(diff[order], axis=0)])
-        xs_sorted = nodes[order, 0]
-        knots = np.asarray(grid.covariate_knots[0])
-        lo = np.searchsorted(xs_sorted, knots, side="left")
-        hi = np.searchsorted(xs_sorted, knots, side="right")
-        for i in range(len(knots) - 1):
-            for j in range(i + 1, len(knots)):
-                consider(pref[hi[j]] - pref[lo[i]], ((knots[i], knots[j]),))
-    else:
-        knots0 = np.asarray(grid.covariate_knots[0])
-        knots1 = np.asarray(grid.covariate_knots[1])
-        order0 = np.argsort(nodes[:, 0], kind="stable")
-        sorted0 = nodes[order0, 0]
-        lo0 = np.searchsorted(sorted0, knots0, side="left")
-        hi0 = np.searchsorted(sorted0, knots0, side="right")
-        for i0 in range(len(knots0) - 1):
-            for j0 in range(i0 + 1, len(knots0)):
-                subset = order0[lo0[i0]:hi0[j0]]
-                if subset.size == 0:
-                    continue
-                sub = nodes[subset, 1]
-                order1 = np.argsort(sub, kind="stable")
-                pref = np.concatenate(
-                    [np.zeros((1, len(ts))), np.cumsum(diff[subset][order1], axis=0)]
-                )
-                lo1 = np.searchsorted(sub[order1], knots1, side="left")
-                hi1 = np.searchsorted(sub[order1], knots1, side="right")
-                for i1 in range(len(knots1) - 1):
-                    for j1 in range(i1 + 1, len(knots1)):
-                        consider(
-                            pref[hi1[j1]] - pref[lo1[i1]],
-                            ((knots0[i0], knots0[j0]), (knots1[i1], knots1[j1])),
-                        )
-    return MetricResult(value=best[0], argmax=best[1], rectangles=count)
+    return _BoxTable(theta_b, design, q_grid, grid).deviation(theta_a)
 
 
 # -- shatter and deviation bounds ----------------------------------------------

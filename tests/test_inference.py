@@ -18,6 +18,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 from scipy.stats import multivariate_normal
 
+from conftest import brute_metric
 from gphazard.errors import DomainError, NumericError
 from gphazard.gp_paths import JITTER_FACTOR, _covariance_cholesky
 from gphazard.hazard import (
@@ -45,7 +46,7 @@ from gphazard.inference import (
 )
 from gphazard.inference import _Likelihood, _pcn_step
 from gphazard.kernels import StationaryKernel
-from gphazard.vc import GridSpec
+from gphazard.vc import GridSpec, q_atoms_from_law
 
 
 def se3():
@@ -415,6 +416,17 @@ class TestMcmcRun:
         assert_allclose(rows.var(axis=0), se3().kappa0, rtol=0.06)
         assert run.warnings == ()
 
+    def test_prior_only_keeps_underflowing_omega_draws(self):
+        # at prior shape 0.01 about one exact Gamma draw in a thousand
+        # rounds to 0.0; it is recorded as the smallest normal double
+        prior = ModelPrior((se3(),), OmegaPrior(0.01, 1.0))
+        cfg = McmcConfig(3000, 100, 1, 0.3, 0)
+        run = mcmc_run(None, prior, cfg, (0.0, 5.0, 10.0), prior_only=True)
+        omegas = np.array([draw.omega for draw in run.draws])
+        assert len(omegas) == 2900
+        assert np.all(omegas > 0)
+        assert np.any(omegas == np.finfo(float).tiny)
+
     @pytest.mark.parametrize("d", [0, 1])
     def test_omega_draws_follow_their_gamma_conditional(self, d):
         # each recorded omega is drawn after its own paths, so given those
@@ -505,6 +517,24 @@ class TestPosteriorOutsideMass:
         ]
         mass = posterior_outside_mass(draws, self.theta0, 0.2, "RD", UniformQ(0), self.grid)
         assert mass == 0.5
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_per_draw_brute_force(self, d):
+        # ten chain draws, each measured by literal rectangle enumeration;
+        # at every midpoint between consecutive distances the outside mass
+        # is exactly the brute-force fraction
+        theta0 = Theta.constant(2.0, d, 4.0)
+        dataset = generate_dataset(theta0, 40, "RD", UniformQ(d), 4.0, 3)
+        prior = ModelPrior((se3(),) * (d + 1), OmegaPrior(2.0, 1.0))
+        run = mcmc_run(dataset, prior, McmcConfig(60, 10, 5, 0.4, 7), tuple(np.linspace(0.0, 4.0, 5)))
+        assert len(run.draws) == 10
+        grid = GridSpec.regular(4.0, 6, d, covariate_knots=4)
+        atoms = q_atoms_from_law(UniformQ(d), cells_per_axis=4)
+        dist = np.array([brute_metric(rep.to_theta(), theta0, "RD", atoms, grid) for rep in run.draws])
+        cuts = np.sort(dist)
+        for epsilon in 0.5 * (cuts[:-1] + cuts[1:]):
+            mass = posterior_outside_mass(run.draws, theta0, epsilon, "RD", atoms, grid)
+            assert mass == np.mean(dist > epsilon)
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError, match="at least one draw"):

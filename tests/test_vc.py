@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from conftest import brute_metric
 from gphazard import vc
 from gphazard.errors import CapacityError, DomainError
 from gphazard.gp_paths import DyadicGrid, sample_path
@@ -186,38 +187,35 @@ class TestEmpiricalMeasure:
             empirical_measure(ds, Rectangle((0.0, 1.0)))
 
 
-def brute_metric(theta_a, theta_b, design, q_grid, grid):
-    """Literal enumeration of |mu_a - mu_b| over all grid rectangles."""
-    tk = grid.time_knots
-    best = -1.0
-    if not grid.covariate_knots:
-        boxes = [()]
-    elif len(grid.covariate_knots) == 1:
-        ck = grid.covariate_knots[0]
-        boxes = [
-            (((ck[i], ck[j])),)
-            for i in range(len(ck))
-            for j in range(i + 1, len(ck))
-        ]
+METRIC_CASES = ["uniform", "table_on_knots", "nrd_repeats", "partial_span", "none_in_span"]
+
+
+def metric_case(case, d, time_knots, covariate_knots, cells):
+    """(design, q_grid, grid) on [0, 3] for a brute-force comparison.
+
+    uniform: midpoint atoms on a regular grid.  table_on_knots: a finite
+    law whose atoms sit exactly on covariate knots, 0 and 1 among them.
+    nrd_repeats: fixed rows with repeated values, some on knots.
+    partial_span: covariate knots (0.2, 0.5, 0.75), so atoms below 0.2 or
+    above 0.75 fall in no box.  none_in_span: every atom above 0.75, so
+    the metric is 0.
+    """
+    if case in ("partial_span", "none_in_span"):
+        knots = (0.2, 0.5, 0.75)
     else:
-        c0, c1 = grid.covariate_knots
-        boxes = [
-            ((c0[i0], c0[j0]), (c1[i1], c1[j1]))
-            for i0 in range(len(c0))
-            for j0 in range(i0 + 1, len(c0))
-            for i1 in range(len(c1))
-            for j1 in range(i1 + 1, len(c1))
-        ]
-    for box in boxes:
-        for a in range(len(tk)):
-            for b in range(a + 1, len(tk)):
-                rect = Rectangle((tk[a], tk[b]), box)
-                dev = abs(
-                    measure_mu(theta_a, rect, design, q_grid)
-                    - measure_mu(theta_b, rect, design, q_grid)
-                )
-                best = max(best, dev)
-    return best
+        knots = tuple(np.linspace(0.0, 1.0, covariate_knots))
+    grid = GridSpec(tuple(np.linspace(0.0, 3.0, time_knots)), (knots,) * d)
+    rng = np.random.default_rng(7 + d)
+    if case == "table_on_knots":
+        atoms = rng.choice(knots, size=(8, d))
+        atoms[0], atoms[1] = 0.0, 1.0
+        probs = rng.dirichlet(np.ones(8))
+        return "RD", TableQ(tuple(map(tuple, atoms)), tuple(probs / probs.sum())), grid
+    if case == "nrd_repeats":
+        return "NRD", rng.choice([0.0, 0.2, knots[1], 0.9, 1.0], size=(12, d)), grid
+    if case == "none_in_span":
+        return "NRD", rng.uniform(0.8, 1.0, size=(6, d)), grid
+    return "RD", q_atoms_from_law(UniformQ(d), cells_per_axis=cells), grid
 
 
 class TestMetric:
@@ -237,21 +235,21 @@ class TestMetric:
         assert a < 0.02
         assert abs(b - LN2) < 0.05
 
-    def test_matches_brute_force_d1(self):
+    @pytest.mark.parametrize("case", METRIC_CASES)
+    def test_matches_brute_force_d1(self, case):
         theta_a = random_theta(d=1, seed=21)
         theta_b = random_theta(d=1, seed=22)
-        grid = GridSpec.regular(horizon=3.0, time_knots=6, d=1, covariate_knots=4)
-        qa = q_atoms_from_law(UniformQ(1), cells_per_axis=8)
-        res = sup_deviation_metric(theta_a, theta_b, "RD", qa, grid)
-        assert_allclose(res.value, brute_metric(theta_a, theta_b, "RD", qa, grid), atol=1e-10)
+        design, q, grid = metric_case(case, d=1, time_knots=6, covariate_knots=4, cells=8)
+        res = sup_deviation_metric(theta_a, theta_b, design, q, grid)
+        assert_allclose(res.value, brute_metric(theta_a, theta_b, design, q, grid), atol=1e-10)
 
-    def test_matches_brute_force_d2(self):
+    @pytest.mark.parametrize("case", METRIC_CASES)
+    def test_matches_brute_force_d2(self, case):
         theta_a = random_theta(d=2, seed=31)
         theta_b = random_theta(d=2, seed=32)
-        grid = GridSpec.regular(horizon=3.0, time_knots=5, d=2, covariate_knots=3)
-        qa = q_atoms_from_law(UniformQ(2), cells_per_axis=4)
-        res = sup_deviation_metric(theta_a, theta_b, "RD", qa, grid)
-        assert_allclose(res.value, brute_metric(theta_a, theta_b, "RD", qa, grid), atol=1e-10)
+        design, q, grid = metric_case(case, d=2, time_knots=5, covariate_knots=3, cells=4)
+        res = sup_deviation_metric(theta_a, theta_b, design, q, grid)
+        assert_allclose(res.value, brute_metric(theta_a, theta_b, design, q, grid), atol=1e-10)
 
     def test_symmetry(self):
         theta_a = random_theta(d=1, seed=41)
