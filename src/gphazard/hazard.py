@@ -295,13 +295,13 @@ class HazardCurve:
         return self.hazard_at(t) * self.survival_at(t)
 
     def point(self, t: float) -> HazardPoint:
-        return HazardPoint(
-            y=self.y_at(t),
-            hazard=self.hazard_at(t),
-            cum_hazard=self.cum_hazard_at(t),
-            survival=float(self.survival_at(t)),
-            density=float(self.density_at(t)),
-        )
+        # one domain check (in y_at) and one cumulative hazard, S and f from it
+        y = self.y_at(t)
+        _, _, integral = _link_integral(self._knots, self._y_knots[None, :], np.full((1, 1), t))
+        hazard = self.theta.omega * float(expit(y))
+        cum = self.theta.omega * float(integral[0, 0])
+        survival = float(np.exp(-cum))
+        return HazardPoint(y, hazard, cum, survival, hazard * survival)
 
 
 def evaluate(theta: Theta, x, t: float) -> HazardPoint:

@@ -14,6 +14,9 @@ envelope omega0 * exp(-omega0 * sigma_min * t), where sigma_min is the
 least reference link value on [0, t_cut].  Tail bounds are reported
 separately so callers can see what part of a number is quadrature and
 what part is envelope.
+One row-batched pass serves every entry point: one set of nodes for all
+covariate rows, and log f and the cumulative hazard at them from one
+hazard._link_integral call per parameter.
 """
 
 from __future__ import annotations
@@ -26,7 +29,10 @@ from scipy.special import expit, polygamma
 
 from .errors import DomainError, GenerationError, NumericError
 from .gp_paths import h_weight
-from .hazard import Covariate, HazardCurve, Theta, _as_covariate, log_sigmoid, survival_matrix
+# HazardCurve is bound here for bench/tracing.py, which wraps it by name;
+# this module evaluates every law through _link_integral instead
+from .hazard import HazardCurve  # noqa: F401
+from .hazard import Theta, _as_covariate, _covariate_rows, _link_integral, log_sigmoid
 from .vc import resolve_atoms
 
 T_CUT_SCALE = 40.0
@@ -34,6 +40,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(6)
 MAX_LINK_VARIATION = 1e4  # largest sum of |dY| over the cells; each unit costs a piece
 B_GRID_REFINE = 129
 SUP_GRID_REFINE = 257
+B_MEMBER_TRIES = 20  # draws before sample_b_member gives up, the cap halving each time
 
 
 @dataclass(frozen=True)
@@ -103,13 +110,29 @@ def _knot_cells(edges: np.ndarray, y: np.ndarray, omega: float) -> tuple:
     return (mid[:, None] + 0.5 * h[:, None] * _GL_X).ravel(), (0.5 * h[:, None] * _GL_W).ravel()
 
 
-def _log_density(curve: HazardCurve, ts: np.ndarray) -> np.ndarray:
-    # log f = log(omega) + log sigmoid(Y) - cumulative hazard, stable form
-    return (
-        math.log(curve.theta.omega)
-        + log_sigmoid(curve.y_at(ts))
-        - curve.cum_hazard_at(ts)
-    )
+def _paths_on(theta: Theta, ts: np.ndarray) -> np.ndarray:
+    knots = np.asarray(theta.grid.points)
+    return np.stack([
+        np.interp(ts, knots, np.asarray(p.values, dtype=float)) for p in theta.paths
+    ])
+
+
+def _link_rows(theta: Theta, rows, ts: np.ndarray) -> np.ndarray:
+    """Y = eta_0 + x . eta at the times ts for each covariate row, shape
+    (m, len(ts)); the rows are checked against theta's d and [0, 1]^d."""
+    rows = _covariate_rows(theta, rows)
+    return np.concatenate([np.ones((len(rows), 1)), rows], axis=1) @ _paths_on(theta, ts)
+
+
+def _log_law(theta: Theta, rows: np.ndarray, ts: np.ndarray) -> tuple:
+    """log f_x(t) = log omega + Y - softplus(Y) - Lambda and Lambda per
+    covariate row and time, from one _link_integral call; t in [0, horizon]."""
+    if not np.all((ts >= 0.0) & (ts <= theta.horizon)):
+        raise DomainError(f"time outside [0, {theta.horizon}]; evaluation does not extrapolate")
+    knots = theta.grid.as_array()
+    y, soft, integral = _link_integral(knots, _link_rows(theta, rows, knots), ts[None, :])
+    lam = theta.omega * integral
+    return math.log(theta.omega) + y - soft - lam, lam
 
 
 def upsilon(theta0: Theta, theta: Theta, x, t: float) -> float:
@@ -121,10 +144,8 @@ def upsilon(theta0: Theta, theta: Theta, x, t: float) -> float:
     t = float(t)
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
-    c0 = HazardCurve(theta0, x)
-    c1 = HazardCurve(theta, x)
-    ts = np.asarray([t])
-    return float(_log_density(c0, ts)[0] - _log_density(c1, ts)[0])
+    row, ts = _as_covariate(x, theta0.d).as_array()[None, :], np.asarray([t])
+    return float(_log_law(theta0, row, ts)[0][0, 0] - _log_law(theta, row, ts)[0][0, 0])
 
 
 def _link_floor(y_edges: np.ndarray):
@@ -184,6 +205,32 @@ class KlTerms:
         }
 
 
+def _kl_rows(theta0: Theta, theta: Theta, rows: np.ndarray, t_cut: float) -> np.ndarray:
+    """The KlTerms fields k .. sigma_min per covariate row, shape (7, m): one
+    set of nodes resolves both parameters' links at every row."""
+    edges = _cell_edges(t_cut, (theta0, theta))
+    y0, y1 = _link_rows(theta0, rows, edges), _link_rows(theta, rows, edges)
+    sigma_min = _link_floor(y0)
+    if _same_parameter(theta0, theta):
+        return np.stack([*np.zeros((6, len(rows))), sigma_min])
+    ts, w = _knot_cells(edges, np.concatenate([y0, y1]), theta0.omega)
+    log_f0, lam0 = _log_law(theta0, rows, np.append(ts, t_cut))
+    ups = log_f0[:, :-1] - _log_law(theta, rows, ts)[0]
+    f0 = np.exp(log_f0[:, :-1])
+    k_body = (ups * f0) @ w
+    v2_body = (ups * ups * f0) @ w
+    if not (np.all(np.isfinite(k_body)) and np.all(np.isfinite(v2_body))):
+        raise NumericError("log-ratio quadrature is not finite")
+    a = abs(math.log(theta0.omega / theta.omega))
+    b = 2.0 + theta0.omega + theta.omega
+    cap = theta0.omega * np.exp(-lam0[:, -1])  # omega0 * S0(t_cut)
+    e0, e1, e2 = _exp_tail_moments(theta0.omega * sigma_min, t_cut)
+    k_tail = cap * (a * e0 + b * e1)
+    v2_tail = cap * (a * a * e0 + 2.0 * a * b * e1 + b * b * e2)
+    k = k_body + k_tail
+    return np.stack([k, v2_body + v2_tail - k * k, k_body, k_tail, v2_body, v2_tail, sigma_min])
+
+
 def kl_terms(theta0: Theta, theta: Theta, x, t_cut: float | None = None) -> KlTerms:
     """Divergence K and variance V of the log ratio under theta0 at one x.
 
@@ -197,33 +244,9 @@ def kl_terms(theta0: Theta, theta: Theta, x, t_cut: float | None = None) -> KlTe
     the envelope at the survival already accumulated by the cutoff, and
     added.  Identical parameters short-circuit to exact zeros.
     """
-    if theta0.d != theta.d:
-        raise DomainError("parameters must share the covariate dimension")
     t_cut = _cutoff(t_cut, theta0, theta)
-    c0, c1 = HazardCurve(theta0, x), HazardCurve(theta, x)
-    edges = _cell_edges(t_cut, (theta0, theta))
-    y_edges = np.stack([c0.y_at(edges), c1.y_at(edges)])
-    sigma_min = float(_link_floor(y_edges[0]))
-    if _same_parameter(theta0, theta):
-        return KlTerms(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, sigma_min, t_cut)
-    ts, w = _knot_cells(edges, y_edges, theta0.omega)
-    log_f0 = _log_density(c0, ts)
-    ups = log_f0 - _log_density(c1, ts)
-    f0 = np.exp(log_f0)
-    k_body = float(w @ (ups * f0))
-    v2_body = float(w @ (ups * ups * f0))
-    if not (math.isfinite(k_body) and math.isfinite(v2_body)):
-        raise NumericError("log-ratio quadrature is not finite")
-    rate = theta0.omega * sigma_min
-    a = abs(math.log(theta0.omega / theta.omega))
-    b = 2.0 + theta0.omega + theta.omega
-    s_cut = float(c0.survival_at(t_cut))
-    e0, e1, e2 = _exp_tail_moments(rate, t_cut)
-    k_tail = theta0.omega * s_cut * (a * e0 + b * e1)
-    v2_tail = theta0.omega * s_cut * (a * a * e0 + 2.0 * a * b * e1 + b * b * e2)
-    k = k_body + k_tail
-    v = v2_body + v2_tail - k * k
-    return KlTerms(k, v, k_body, k_tail, v2_body, v2_tail, sigma_min, t_cut)
+    row = _as_covariate(x, theta0.d).as_array()[None, :]
+    return KlTerms(*(float(f) for f in _kl_rows(theta0, theta, row, t_cut)[:, 0]), t_cut)
 
 
 @dataclass(frozen=True)
@@ -246,6 +269,27 @@ class KlAggregate:
         return rec
 
 
+def _design_rows(d: int, design: str, q_grid, xs) -> tuple:
+    """Rows (m, d), weights and, for NRD, each position's row index (None
+    for RD).  RD rows are q_grid's atoms; NRD rows are the distinct rows of
+    xs in first-seen order, weighted by count / n, in one pass over xs."""
+    if design == "RD":
+        if q_grid is None:
+            raise DomainError("RD needs a covariate law or atoms")
+        atoms = resolve_atoms("RD", q_grid)
+        if atoms.d != d:
+            raise DomainError(f"atoms have d={atoms.d}, model expects {d}")
+        return atoms.nodes_array(), atoms.weights_array(), None
+    if design == "NRD":
+        if xs is None or not len(xs):
+            raise DomainError("NRD needs the fixed covariate list")
+        seen: dict = {}
+        at = np.asarray([seen.setdefault(_as_covariate(x, d).coords, len(seen)) for x in xs])
+        rows = np.asarray(list(seen), dtype=float).reshape(len(seen), d)
+        return rows, np.bincount(at) / len(at), at
+    raise DomainError(f"design must be 'RD' or 'NRD', got {design!r}")
+
+
 def kl_aggregate(
     theta0: Theta,
     theta: Theta,
@@ -259,50 +303,22 @@ def kl_aggregate(
     RD needs a covariate law or explicit atoms and returns the weighted
     mean of K.  NRD needs the covariate sequence x_1..x_n and returns the
     max of K, plus the position-weighted variance sum Sum V_i / i^2 with
-    its remainder bounded by (max V) * Sum_{i>n} i^{-2}.
+    its remainder bounded by (max V) * Sum_{i>n} i^{-2}.  per_x holds each
+    distinct row with its K, V and weight, all rows from one _kl_rows pass.
     """
     t_cut = _cutoff(t_cut, theta0, theta)
-    d = theta0.d
-    if design == "RD":
-        if q_grid is None:
-            raise DomainError("RD aggregation needs a covariate law or atoms")
-        atoms = resolve_atoms("RD", q_grid)
-        if atoms.d != d:
-            raise DomainError(f"atoms have d={atoms.d}, model expects {d}")
-        per = []
-        total = 0.0
-        for row, w in zip(atoms.nodes, atoms.weights):
-            terms = kl_terms(theta0, theta, Covariate(tuple(row)), t_cut)
-            per.append((tuple(row), terms.k, terms.v, float(w)))
-            total += w * terms.k
-        return KlAggregate("RD", total, tuple(per))
-    if design == "NRD":
-        if xs is None or not len(xs):
-            raise DomainError("NRD aggregation needs the fixed covariate list")
-        coords = [_as_covariate(x, d).coords for x in xs]
-        cache: dict = {}
-        for c in coords:
-            if c not in cache:
-                cache[c] = kl_terms(theta0, theta, Covariate(c), t_cut)
-        n = len(coords)
-        ks = np.asarray([cache[c].k for c in coords])
-        vs = np.asarray([cache[c].v for c in coords])
-        idx = np.arange(1, n + 1, dtype=float)
-        partial = float(np.sum(vs / idx ** 2))
-        tail = float(np.max(vs)) * float(polygamma(1, n + 1))
-        per = tuple((c, t.k, t.v, coords.count(c) / n) for c, t in cache.items())
-        return KlAggregate("NRD", float(np.max(ks)), per, partial, tail, n)
-    raise DomainError(f"design must be 'RD' or 'NRD', got {design!r}")
+    rows, weights, at = _design_rows(theta0.d, design, q_grid, xs)
+    k, v = _kl_rows(theta0, theta, rows, t_cut)[:2]
+    per = tuple(zip(map(tuple, rows.tolist()), k.tolist(), v.tolist(), weights.tolist()))
+    if at is None:
+        return KlAggregate("RD", float(weights @ k), per)
+    n = len(at)
+    partial = float(np.sum(v[at] / np.arange(1, n + 1, dtype=float) ** 2))
+    tail = float(np.max(v)) * float(polygamma(1, n + 1))
+    return KlAggregate("NRD", float(np.max(k)), per, partial, tail, n)
 
 
 # -- neighborhood membership ---------------------------------------------
-
-
-def _paths_on(theta: Theta, ts: np.ndarray) -> np.ndarray:
-    knots = np.asarray(theta.grid.points)
-    return np.stack([
-        np.interp(ts, knots, np.asarray(p.values, dtype=float)) for p in theta.paths
-    ])
 
 
 @dataclass(frozen=True)
@@ -415,17 +431,10 @@ def link_sup_check(theta: Theta, theta0: Theta, params: BSetParams, x_samples) -
         vacuous = True
     knots = np.union1d(np.asarray(theta.grid.points), np.asarray(theta0.grid.points))
     ts = np.union1d(knots[knots <= params.tau], np.linspace(0.0, params.tau, SUP_GRID_REFINE))
-    eta = _paths_on(theta, ts)
-    eta0 = _paths_on(theta0, ts)
-    sig_gap = 0.0
-    log_gap = 0.0
-    for x in x_samples:
-        cov = _as_covariate(x, theta.d)
-        w = np.concatenate([[1.0], cov.as_array()])
-        y = w @ eta
-        y0 = w @ eta0
-        sig_gap = max(sig_gap, float(np.max(np.abs(expit(y) - expit(y0)))))
-        log_gap = max(log_gap, float(np.max(np.abs(log_sigmoid(y) - log_sigmoid(y0)))))
+    w = np.asarray([(1.0, *_as_covariate(x, theta.d).coords) for x in x_samples])
+    y, y0 = (w.reshape(-1, theta.d + 1) @ _paths_on(th, ts) for th in (theta, theta0))
+    sig_gap = float(np.max(np.abs(expit(y) - expit(y0)), initial=0.0))
+    log_gap = float(np.max(np.abs(log_sigmoid(y) - log_sigmoid(y0)), initial=0.0))
     bound = (theta.d + 1) * params.delta / (1.0 + params.tau)
     return LinkSupReport(
         max_sigma_gap=sig_gap,
@@ -524,17 +533,17 @@ def _survival_moments(theta0: Theta, xs: np.ndarray, t_cut: float, cuts) -> tupl
 
     E(T^p 1{T>a}) = a^p S(a) + int_a^inf p t^(p-1) S.  Every cut is a cell
     edge, so the integral from a is a suffix sum over the Gauss-Legendre
-    cells past a, all rows from one survival_matrix call.  Beyond the
+    cells past a, all rows from one _log_law call.  Beyond the
     cutoff S is capped by S(t_cut) e^{-rate (t - t_cut)},
     rate = omega0 * sigma_min, so the values are upper estimates.  Returns
     the three stacked, shape (3, len(xs), len(cuts)).
     """
     cuts = np.asarray(cuts, dtype=float)
     edges = _cell_edges(t_cut, (theta0,), cuts)
-    y = np.concatenate([np.ones((len(xs), 1)), xs], axis=1) @ _paths_on(theta0, edges)
+    y = _link_rows(theta0, xs, edges)
     rate = theta0.omega * _link_floor(y)[:, None]
     ts, w = _knot_cells(edges, y, theta0.omega)
-    surv = survival_matrix(theta0, xs, np.concatenate([ts, cuts, [t_cut]]))
+    surv = np.exp(-_log_law(theta0, xs, np.concatenate([ts, cuts, [t_cut]]))[1])
     s_ts, s_a, s_h = surv[:, :ts.size], surv[:, ts.size:-1], surv[:, -1:]
     past = np.searchsorted(ts, cuts, side="right")  # first node beyond each cut
     moments = []
@@ -609,22 +618,7 @@ def moment_checks(
     envelope rate degenerates.
     """
     t_cut = _cutoff(t_cut, theta0)
-    if design == "RD":
-        if q_grid is None:
-            raise DomainError("RD checks need a covariate law or atoms")
-        atoms = resolve_atoms("RD", q_grid)
-        if atoms.d != theta0.d:
-            raise DomainError(f"atoms have d={atoms.d}, model expects {theta0.d}")
-        rows = atoms.nodes_array()
-        weights = atoms.weights_array()
-    elif design == "NRD":
-        if xs is None or not len(xs):
-            raise DomainError("NRD checks need the fixed covariate list")
-        seen = list(dict.fromkeys(_as_covariate(x, theta0.d).coords for x in xs))
-        rows = np.asarray(seen, dtype=float).reshape(len(seen), theta0.d)
-        weights = None
-    else:
-        raise DomainError(f"design must be 'RD' or 'NRD', got {design!r}")
+    rows, weights, at = _design_rows(theta0.d, design, q_grid, xs)
 
     def inconclusive(note: str) -> MomentReport:
         return MomentReport(math.nan, math.nan, False, False, (), False, True, note)
@@ -640,7 +634,7 @@ def moment_checks(
         e1, e2, _ = _survival_moments(theta0, rows, t_cut, [0.0, *ladder_ns, m])
     except NumericError as exc:
         return inconclusive(str(exc))
-    reduced = weights @ e1[:, :-1] if weights is not None else np.max(e1[:, :-1], axis=0)
+    reduced = weights @ e1[:, :-1] if at is None else np.max(e1[:, :-1], axis=0)
     a3 = float(reduced[0])
     worst = float(np.max(e2[:, -1]))
     ladder = tuple((float(nv), float(v)) for nv, v in zip(ladder_ns, reduced[1:]))
@@ -660,8 +654,7 @@ def moment_checks(
 # -- neighborhood sampling -------------------------------------------------
 
 
-def sample_b_member(theta0: Theta, params: BSetParams, seed: int,
-                    max_tries: int = 20) -> Theta:
+def sample_b_member(theta0: Theta, params: BSetParams, seed: int) -> Theta:
     """Draw a random parameter inside the neighborhood around theta0.
 
     The scale moves inside 90% of the admissible band; each path gets a
@@ -675,7 +668,7 @@ def sample_b_member(theta0: Theta, params: BSetParams, seed: int,
         raise DomainError(f"params expect d={params.d}, theta0 has d={theta0.d}")
     ts = theta0.grid.as_array()
     cap = 0.9 * params.sup_limit
-    for _ in range(max_tries):
+    for _ in range(B_MEMBER_TRIES):
         omega = theta0.omega * (1.0 + 0.9 * params.delta * rng.uniform(-1.0, 1.0))
         values = []
         for p in theta0.paths:

@@ -358,6 +358,47 @@ class TestKlAggregate:
         assert agg.v_weighted_tail_bound <= v_max / n
         assert agg.v_weighted_partial + agg.v_weighted_tail_bound >= basel
 
+    @staticmethod
+    def random_pair(rng):
+        """Non-constant d = 1 truth and candidate at 1.5 to 3 times its scale."""
+        theta0 = random_theta0(1, seed=int(rng.integers(1 << 30)))
+        theta = random_theta0(1, seed=int(rng.integers(1 << 30)), horizon=22.0,
+                              omega0=2.0 * float(rng.uniform(1.5, 3.0)))
+        return theta0, theta
+
+    def test_rd_rows_match_kl_terms_on_random_pairs(self):
+        rng = np.random.default_rng(71)
+        for _ in range(3):
+            theta0, theta = self.random_pair(rng)
+            law = TableQ(atoms=rng.uniform(0.0, 1.0, (5, 1)), probs=rng.dirichlet(np.ones(5)))
+            agg = kl_aggregate(theta0, theta, "RD", q_grid=law)
+            assert [row for row, _, _, _ in agg.per_x] == list(law.atoms)
+            assert [w for _, _, _, w in agg.per_x] == list(law.probs)
+            for row, k, v, _ in agg.per_x:
+                terms = kl_terms(theta0, theta, row)
+                assert_allclose([k, v], [terms.k, terms.v], rtol=1e-12, atol=0)
+            want = sum(w * k for _, k, _, w in agg.per_x)
+            assert_allclose(agg.value, want, rtol=1e-12, atol=0)
+
+    def test_nrd_rows_match_kl_terms_with_repeats(self):
+        rng = np.random.default_rng(72)
+        for _ in range(3):
+            theta0, theta = self.random_pair(rng)
+            atoms = [(float(u),) for u in rng.uniform(0.0, 1.0, 4)]
+            xs = [atoms[i] for i in rng.integers(0, 4, 15)]
+            agg = kl_aggregate(theta0, theta, "NRD", xs=xs)
+            first_seen = list(dict.fromkeys(xs))
+            assert [row for row, _, _, _ in agg.per_x] == first_seen
+            assert [w for _, _, _, w in agg.per_x] == [xs.count(r) / len(xs) for r in first_seen]
+            assert math.fsum(w for _, _, _, w in agg.per_x) == pytest.approx(1.0, abs=1e-15)
+            terms = {row: kl_terms(theta0, theta, row) for row in first_seen}
+            for row, k, v, _ in agg.per_x:
+                assert_allclose([k, v], [terms[row].k, terms[row].v], rtol=1e-12, atol=0)
+            assert_allclose(agg.value, max(t.k for t in terms.values()), rtol=1e-12, atol=0)
+            partial = sum(terms[x].v / i ** 2 for i, x in enumerate(xs, start=1))
+            assert_allclose(agg.v_weighted_partial, partial, rtol=1e-12, atol=0)
+            assert agg.n == len(xs)
+
     def test_nrd_tail_is_cauchy_in_n(self):
         theta0, theta1 = exp_pair()
         tails = [
@@ -466,6 +507,24 @@ class TestLinkSupCheck:
                         assert report.passed and not report.vacuous
                         checked += 1
         assert checked == 120
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_maxima_match_a_per_sample_loop(self, d):
+        rng = np.random.default_rng(d)
+        params = BSetParams(0.1, 2.0, d)
+        theta0 = random_theta0(d, seed=int(rng.integers(1 << 30)))
+        theta = sample_b_member(theta0, params, seed=int(rng.integers(1 << 30)))
+        xs = [tuple(rng.uniform(0, 1, d)) for _ in range(7)]
+        knots = theta0.grid.as_array()  # both share it
+        ts = np.union1d(knots[knots <= params.tau], np.linspace(0.0, params.tau, 257))
+        sig_gap = log_gap = 0.0
+        for x in xs:
+            y, y0 = HazardCurve(theta, x).y_at(ts), HazardCurve(theta0, x).y_at(ts)
+            sig_gap = max(sig_gap, np.max(np.abs(expit(y) - expit(y0))))
+            log_gap = max(log_gap, np.max(np.abs(np.log(expit(y)) - np.log(expit(y0)))))
+        report = link_sup_check(theta, theta0, params, xs)
+        assert_allclose([report.max_sigma_gap, report.max_logsigma_gap], [sig_gap, log_gap],
+                        rtol=1e-12, atol=0)
 
     def test_nonmember_is_flagged_vacuous(self):
         theta0 = Theta.constant(2.0, 0, 8.0)
