@@ -459,7 +459,7 @@ class _AnchorRows:
     the arithmetic.
     """
 
-    def __init__(self, times, xs, atoms: QAtoms, theta0: Theta, anchors_t):
+    def __init__(self, times, xs, atoms: QAtoms, theta0: Theta, anchors_t, design: str):
         order = np.argsort(xs, kind="stable")
         self.anchors_x = np.unique(np.concatenate([[0.0, 1.0], xs]))
         self.m, self.K = len(self.anchors_x), len(anchors_t)
@@ -476,6 +476,18 @@ class _AnchorRows:
         self.node_hi = np.searchsorted(self.node_rows[:, 0], self.anchors_x, side="right")
         self.node_pos = np.append(self.node_lo, self.node_hi[-1])
         self.theta0, self.anchors_t = theta0, anchors_t
+        # Under RD the atoms are the few cells of a covariate law, so their
+        # rows are built once and sliced per block; under NRD there is one
+        # atom per record, and each block builds the rows of its own atoms.
+        # The RD rows are filled over the blocks' atom ranges, so no call
+        # holds the temporaries of every atom at once.
+        self.ref_rows = None
+        if design == "RD":
+            cuts = np.append(self.node_pos[::_BLOCK], self.node_pos[-1])
+            ref_rows = np.empty((len(self.node_w), self.K))
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                ref_rows[a:b] = self._reference(a, b)
+            self.ref_rows = ref_rows
         # Summaries bound rows in exact arithmetic.  Computed values can
         # miss by the rounding of the reference's running sum over up to
         # every atom, and rebuilt rows can differ from the sweep's in the
@@ -544,6 +556,8 @@ class _AnchorRows:
 
     def _reference(self, a: int, b: int) -> np.ndarray:
         """Weighted reference CDF rows of atoms a..b-1."""
+        if self.ref_rows is not None:
+            return self.ref_rows[a:b]
         if a == b:
             return np.zeros((0, self.K))
         f = 1.0 - survival_matrix(self.theta0, self.node_rows[a:b], self.anchors_t)
@@ -727,7 +741,7 @@ def test_statistic(dataset: SurvivalDataset, theta0: Theta, design: str, q_grid,
     if d > 1:
         raise DomainError("the anchored statistic supports d <= 1; use the metric for d = 2")
 
-    rows = _AnchorRows(times, dataset.covariates_array()[:, 0], atoms, theta0, anchors_t)
+    rows = _AnchorRows(times, dataset.covariates_array()[:, 0], atoms, theta0, anchors_t, design)
     _, (i_star, j_star), counts = _anchored_search(rows)
 
     # recover the maximizing time interval from the winning anchor pair

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gphazard import bounds, cli
 from gphazard.bounds import (
     DEFAULT_J_MAX,
     DEFAULT_N_MAX,
@@ -28,7 +29,7 @@ from gphazard.bounds import (
     tau_star,
 )
 from gphazard.errors import DomainError
-from gphazard.gp_paths import h_weight
+from gphazard.gp_paths import h_weight, mc_event_probability
 from gphazard.kernels import StationaryKernel
 
 LOG2 = math.log(2.0)
@@ -328,6 +329,26 @@ class TestComparators:
         assert rep.lemma_id == "centred_event"
         assert rep.verdict == "pass"
         assert rep.mc_estimate >= rep.analytic_value - 3.0 * rep.ci
+
+    def test_cli_comparator_hits_pinned(self, tmp_path, monkeypatch):
+        # The verify-bounds comparators at the CLI defaults (level 9, 20 000
+        # reps) and seed 5: hit counts (joint, marginals), recorded before
+        # the Monte Carlo copy of the factor had its subnormal entries
+        # flushed.  The tail and centred grids ([0, tau* + 40] and [0, 140])
+        # are the ones whose factors hold subnormals.  The tail event has no
+        # hits at any seed tried, so the exactness test in test_gp_paths.py
+        # carries that grid.
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(mc_event_probability(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(bounds, "mc_event_probability", recording)
+        cli._cmd_verify_bounds({"level": 9, "reps": 20_000}, 5, tmp_path)
+        hits = [(round(rep.p_joint * rep.reps), tuple(round(p * rep.reps) for p in rep.p_marginals))
+                for rep in seen]
+        assert hits == [(0, (0,)), (35, (35,)), (15471, (15471,)), (1851, (1851, 20000))]
 
     def test_report_record(self):
         rep = BoundReport("tail_series", 0.5, 0.4, 0.01, "pass", 1e-10)

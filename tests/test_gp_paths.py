@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg.blas import dtrmm
 
+from gphazard import gp_paths
+from gphazard.bounds import tau_star
 from gphazard.errors import DomainError, NumericError
 from gphazard.gp_paths import (
     JITTER_FACTOR,
@@ -310,6 +313,33 @@ class TestFactorCache:
                 _covariance_cholesky(k, (0.0, 1.0, 2.0))
         info = _grid_factor.cache_info()
         assert (info.currsize, info.hits, info.misses) == (0, 0, 2)
+
+    @pytest.mark.parametrize("horizon, weighted", [
+        (tau_star(0, 1.0) + 40.0, True),   # compare_tail_bound's grid at the CLI defaults
+        (140.0, True),                     # compare_centred_event's grid
+        (140.0, False),                    # the cached factor itself
+    ])
+    def test_flushed_blocks_equal_unflushed_product(self, horizon, weighted):
+        # The block loop zeroes the subnormal entries of its copy of the
+        # factor; the rows must equal the product with the factor as given.
+        points = DyadicGrid(horizon, 9).as_array()
+        chol, _ = _covariance_cholesky(StationaryKernel.se(), points)
+        cached = chol.copy()
+        factor = h_weight(0, points)[:, None] * chol if weighted else chol
+        assert np.count_nonzero((factor != 0) & (np.abs(factor) < np.finfo(float).tiny)) > 500
+        reps = 8000  # two blocks
+        blocks = np.concatenate([b.copy() for b in _path_blocks(factor, reps, seed=3)])
+        z = np.random.Generator(np.random.Philox(key=3)).standard_normal((reps, len(points)))
+        chunk = gp_paths._CHUNK_SCALARS // len(points)
+        want = np.concatenate([
+            dtrmm(1.0, np.asfortranarray(factor), np.array(z[s:s + chunk].T, order="F"),
+                  side=0, lower=1).T
+            for s in range(0, reps, chunk)
+        ])
+        assert np.array_equal(blocks, want)
+        assert np.array_equal(chol, cached)
+        assert not chol.flags.writeable
+        assert _covariance_cholesky(StationaryKernel.se(), points)[0] is chol
 
     def test_report_carries_escalated_jitter(self):
         # covariance 1 + 5e-10 off the diagonal: 1e-10 of jitter is too little

@@ -536,7 +536,8 @@ class TestStatistic:
         atoms = vc.resolve_atoms(design, q, cells)
         values = anchored_pair_values(ds, theta0, atoms)
         anchors_t = np.unique(np.concatenate([[0.0, theta0.horizon], ds.times_array()]))
-        rows = vc._AnchorRows(ds.times_array(), ds.covariates_array()[:, 0], atoms, theta0, anchors_t)
+        rows = vc._AnchorRows(ds.times_array(), ds.covariates_array()[:, 0], atoms, theta0, anchors_t,
+                              design)
         m, block, run = len(values), vc._BLOCK, vc._SUB
         runs = -(-m // run)
 
@@ -577,6 +578,39 @@ class TestStatistic:
         res = anchored_statistic(ds, theta0, "RD", None, epsilon=0.3)
         assert res.rows_expanded <= ROWS_EXPANDED_CEILING
         assert res.block_pairs_bounded == 32 * 33 // 2
+
+    @pytest.mark.parametrize("omega, n, seed, epsilon, want", [
+        # recorded when every block built its own reference rows
+        (2.0, 2000, 2, 0.3, (0.03922665531404829, (0.022629350939928503, 1.2557450074174716),
+                             (0.25850636190238185, 0.9608195040934834), (528, 5976, 3, 51))),
+        (4.0, 3000, 3, 0.2, (0.26454024443918966, (4.2559547702804116e-06, 0.6675115527280868),
+                             (0.008039102514709406, 0.9915557317953035), (1128, 64, 2, 50))),
+    ])
+    def test_rd_reference_rows_built_once(self, monkeypatch, omega, n, seed, epsilon, want):
+        # the benchmark's anchored-test sizes: n = 2000 and 3000 against 64 cells
+        theta0 = Theta.constant(2.0, 1, 20.0)
+        truth = Theta.constant(omega, 1, 20.0)
+        ds = generate_dataset(truth, n, "RD", UniformQ(1), horizon=20.0, seed=seed)
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return survival_matrix(*args)
+
+        monkeypatch.setattr(vc, "survival_matrix", counted)
+        res = anchored_statistic(ds, theta0, "RD", None, epsilon=epsilon)
+        # each atom's row is built once, over the blocks' atom ranges
+        assert sum(calls) == 64 and max(calls) < 64
+        counters = (res.block_pairs_bounded, res.sub_pairs_bounded, res.rows_expanded,
+                    res.block_builds)
+        assert (res.sup_dev, res.argmax.time, res.argmax.box[0], counters) == want
+        # the per-block path (the NRD one) gives the same search, building
+        # rows of the same atoms again
+        per_block = vc._AnchorRows
+        monkeypatch.setattr(vc, "_AnchorRows", lambda *args: per_block(*args[:-1], "NRD"))
+        calls.clear()
+        assert anchored_statistic(ds, theta0, "RD", None, epsilon=epsilon) == res
+        assert sum(calls) > 64
 
     def test_argmax_rectangle_reproduces_value(self):
         theta0 = Theta.constant(omega=2.0, d=1, horizon=12.0)
