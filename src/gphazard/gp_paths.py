@@ -98,7 +98,7 @@ class GpPath:
     def at(self, t):
         """Linear interpolation; refuses to extrapolate beyond the grid."""
         arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0) or np.any(arr > self.grid.tau):
+        if not np.all((arr >= 0) & (arr <= self.grid.tau)):  # NaN fails too
             raise DomainError(f"time outside [0, {self.grid.tau}]")
         out = np.interp(arr, self.grid.as_array(), np.asarray(self.values))
         return out if arr.ndim else float(out)

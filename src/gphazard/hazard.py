@@ -8,8 +8,10 @@ A parameter theta = (omega, eta_0..eta_d) induces, for a covariate x in
 so omega dominates the hazard everywhere and exact simulation by thinning
 is available.  Paths are grid functions (GpPath) interpolated linearly,
 so the link is linear on each grid cell and every cumulative hazard is
-exact: the integral of a sigmoid is softplus.  Evaluation refuses to
-extrapolate beyond the grid horizon.
+exact: the integral of a sigmoid is softplus.  One evaluator, law, gives
+Y, log sigmoid(Y) and the cumulative hazard for many covariate rows at
+shared times; survival_matrix, evaluate and HazardCurve (a one-row view)
+read from it, and every time outside [0, horizon], NaN too, is refused.
 """
 
 from __future__ import annotations
@@ -77,7 +79,9 @@ def _covariate_rows(theta: Theta, xs) -> np.ndarray:
 
     The range test is written so that NaN fails it.
     """
-    xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2:  # zero rows carry no width, so they take theta's d
+        xs = xs.reshape(len(xs), -1 if xs.size else theta.d)
     if xs.shape[1] != theta.d:
         raise DomainError(f"covariate rows have d={xs.shape[1]}, theta has d={theta.d}")
     if not np.all((xs >= 0) & (xs <= 1)):
@@ -238,6 +242,41 @@ def _link_integral(knots, y, t):
     return y_t, np.maximum(y_t, 0.0) + tail_t, np.take(cum, at) + part
 
 
+def _check_times(theta: Theta, t) -> np.ndarray:
+    """t as a float array in [0, horizon]; min and max carry NaN, so NaN fails it."""
+    arr = np.asarray(t, dtype=float)
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= theta.horizon):
+        raise DomainError(f"time outside [0, {theta.horizon}]; evaluation does not extrapolate")
+    return arr
+
+
+def _paths_on(theta: Theta, ts) -> np.ndarray:
+    """The d + 1 paths at the times ts, shape (d + 1, len(ts)); unchecked."""
+    knots = theta.grid.as_array()
+    return np.stack([np.interp(ts, knots, np.asarray(p.values, dtype=float)) for p in theta.paths])
+
+
+def _link_rows(theta: Theta, xs, ts) -> np.ndarray:
+    """Y = eta_0 + x . eta at the times ts for each covariate row, shape
+    (len(xs), len(ts)); the rows are checked against theta's d and [0, 1]^d."""
+    xs = _covariate_rows(theta, xs)
+    return np.concatenate([np.ones((len(xs), 1)), xs], axis=1) @ _paths_on(theta, ts)
+
+
+def law(theta: Theta, xs, ts) -> tuple:
+    """Y, log sigmoid(Y) and Lambda = omega * int_0^t sigmoid(Y) for each
+    covariate row and shared time, each shape (len(xs), len(ts)).
+
+    Every object of the model is read from these: S = exp(-Lambda) and
+    log f = log omega + log sigmoid(Y) - Lambda.  One _link_integral call
+    on the rows' links at the knots; the times must lie in [0, horizon].
+    """
+    ts = _check_times(theta, ts)
+    knots = theta.grid.as_array()
+    y, soft, integral = _link_integral(knots, _link_rows(theta, xs, knots), ts.reshape(1, -1))
+    return y, y - soft, theta.omega * integral
+
+
 @dataclass(frozen=True)
 class HazardPoint:
     y: float
@@ -248,44 +287,33 @@ class HazardPoint:
 
 
 class HazardCurve:
-    """Hazard, cumulative hazard, survival and density for one (theta, x).
+    """Hazard, cumulative hazard, survival and density for one (theta, x):
+    a one-row view of law.
 
-    The link Y = eta_0 + x . eta interpolates its knot values linearly,
-    and the cumulative hazard is omega times its exact sigmoid integral
-    (_link_integral).
+    The link row at the knots is built once; y_at and hazard_at
+    interpolate it, and the cumulative hazard is read from law.
     """
 
     def __init__(self, theta: Theta, x):
-        cov = _as_covariate(x, theta.d)
         self.theta = theta
-        self.x = cov
-        vals = np.stack([np.asarray(p.values) for p in theta.paths])
-        weights = np.concatenate([[1.0], cov.as_array()])
+        self.x = _as_covariate(x, theta.d)
+        self._row = self.x.as_array()[None, :]
         self._knots = theta.grid.as_array()
-        self._y_knots = weights @ vals
-
-    def _check_domain(self, t) -> np.ndarray:
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0) or np.any(arr > self.theta.horizon):
-            raise DomainError(
-                f"time outside [0, {self.theta.horizon}]; evaluation does not extrapolate"
-            )
-        return arr
+        self._y_knots = _link_rows(theta, self._row, self._knots)[0]
 
     def y_at(self, t):
-        arr = self._check_domain(t)
+        arr = _check_times(self.theta, t)
         out = np.interp(arr, self._knots, self._y_knots)
         return out if arr.ndim else float(out)
 
     def hazard_at(self, t):
-        arr = self._check_domain(t)
-        out = self.theta.omega * expit(np.interp(arr, self._knots, self._y_knots))
-        return out if arr.ndim else float(out)
+        y = self.y_at(t)
+        out = self.theta.omega * expit(y)
+        return out if np.ndim(y) else float(out)
 
     def cum_hazard_at(self, t):
-        arr = self._check_domain(t)
-        _, _, integral = _link_integral(self._knots, self._y_knots[None, :], arr.reshape(1, -1))
-        out = self.theta.omega * integral.reshape(arr.shape)
+        arr = np.asarray(t, dtype=float)
+        out = law(self.theta, self._row, arr)[2].reshape(arr.shape)
         return out if arr.ndim else float(out)
 
     def survival_at(self, t):
@@ -295,35 +323,22 @@ class HazardCurve:
         return self.hazard_at(t) * self.survival_at(t)
 
     def point(self, t: float) -> HazardPoint:
-        # one domain check (in y_at) and one cumulative hazard, S and f from it
-        y = self.y_at(t)
-        _, _, integral = _link_integral(self._knots, self._y_knots[None, :], np.full((1, 1), t))
-        hazard = self.theta.omega * float(expit(y))
-        cum = self.theta.omega * float(integral[0, 0])
-        survival = float(np.exp(-cum))
-        return HazardPoint(y, hazard, cum, survival, hazard * survival)
+        return evaluate(self.theta, self.x, t)
 
 
 def evaluate(theta: Theta, x, t: float) -> HazardPoint:
-    """Hazard, cumulative hazard, survival and density at one (x, t)."""
-    return HazardCurve(theta, x).point(float(t))
+    """Hazard, cumulative hazard, survival and density at one (x, t), from law."""
+    row = _as_covariate(x, theta.d).as_array()[None, :]
+    y, _, cum = (float(v[0, 0]) for v in law(theta, row, [float(t)]))
+    hazard = theta.omega * float(expit(y))
+    survival = float(np.exp(-cum))
+    return HazardPoint(y, hazard, cum, survival, hazard * survival)
 
 
 def survival_matrix(theta: Theta, xs, ts) -> np.ndarray:
-    """S_x(t) for each covariate row x and shared times t, shape (nx, nt).
-
-    The same exact cumulative hazard as HazardCurve, for all rows at once.
-    """
-    xs = _covariate_rows(theta, xs)
-    ts = np.asarray(ts, dtype=float)
-    if ts.size and (ts.min() < 0 or ts.max() > theta.horizon):
-        raise DomainError(
-            f"time outside [0, {theta.horizon}]; evaluation does not extrapolate"
-        )
-    vals = np.stack([np.asarray(p.values) for p in theta.paths])
-    y = np.concatenate([np.ones((len(xs), 1)), xs], axis=1) @ vals
-    _, _, integral = _link_integral(theta.grid.as_array(), y, ts[None, :])
-    return np.exp(-theta.omega * integral)
+    """S_x(t) = exp(-Lambda) for each covariate row x and shared times t,
+    shape (nx, nt), from law."""
+    return np.exp(-law(theta, xs, ts)[2])
 
 
 # -- exact simulation by thinning ---------------------------------------

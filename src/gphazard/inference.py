@@ -29,7 +29,7 @@ from scipy.stats import spearmanr
 
 from .errors import DomainError, GpHazardError, NumericError
 from .gp_paths import TimeGrid, _covariance_cholesky
-from .hazard import SurvivalDataset, Theta, _link_integral, generate_dataset
+from .hazard import SurvivalDataset, Theta, _link_integral, _paths_on, generate_dataset
 from .kernels import StationaryKernel
 # sup_deviation_metric is bound here for bench/tracing.py, which wraps it
 # in every module that imports it
@@ -101,11 +101,7 @@ class ThetaRep:
         kn = np.asarray(knots, dtype=float)
         if kn.size and kn[-1] > theta.horizon:
             raise DomainError("knots extend past the theta horizon")
-        src = np.asarray(theta.grid.points, dtype=float)
-        rows = tuple(
-            tuple(float(v) for v in np.interp(kn, src, np.asarray(p.values, dtype=float)))
-            for p in theta.paths
-        )
+        rows = tuple(tuple(row) for row in _paths_on(theta, kn).tolist())
         return cls(theta.omega, tuple(float(t) for t in kn), rows)
 
 
@@ -199,8 +195,8 @@ class _Likelihood:
             raise DomainError(
                 f"dataset horizon {dataset.horizon:g} exceeds representation horizon {horizon:g}"
             )
-        if t.size and float(t.max()) > horizon:
-            raise DomainError("a record time lies past the representation horizon")
+        if t.size and not (t.min() >= 0.0 and t.max() <= horizon):  # NaN fails too
+            raise DomainError(f"a record time lies outside [0, {horizon:g}]")
         self.knots = kn
         self.x = dataset.covariates_array()
         self.d = dataset.d

@@ -16,7 +16,7 @@ separately so callers can see what part of a number is quadrature and
 what part is envelope.
 One row-batched pass serves every entry point: one set of nodes for all
 covariate rows, and log f and the cumulative hazard at them from one
-hazard._link_integral call per parameter.
+hazard.law call per parameter.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from scipy.special import expit, polygamma
 from .errors import DomainError, GenerationError, NumericError
 from .gp_paths import h_weight
 # HazardCurve is bound here for bench/tracing.py, which wraps it by name;
-# this module evaluates every law through _link_integral instead
+# this module evaluates every law through hazard.law instead
 from .hazard import HazardCurve  # noqa: F401
-from .hazard import Theta, _as_covariate, _covariate_rows, _link_integral, log_sigmoid
+from .hazard import Theta, _as_covariate, _link_rows, _paths_on, law, log_sigmoid
 from .vc import resolve_atoms
 
 T_CUT_SCALE = 40.0
@@ -110,29 +110,11 @@ def _knot_cells(edges: np.ndarray, y: np.ndarray, omega: float) -> tuple:
     return (mid[:, None] + 0.5 * h[:, None] * _GL_X).ravel(), (0.5 * h[:, None] * _GL_W).ravel()
 
 
-def _paths_on(theta: Theta, ts: np.ndarray) -> np.ndarray:
-    knots = np.asarray(theta.grid.points)
-    return np.stack([
-        np.interp(ts, knots, np.asarray(p.values, dtype=float)) for p in theta.paths
-    ])
-
-
-def _link_rows(theta: Theta, rows, ts: np.ndarray) -> np.ndarray:
-    """Y = eta_0 + x . eta at the times ts for each covariate row, shape
-    (m, len(ts)); the rows are checked against theta's d and [0, 1]^d."""
-    rows = _covariate_rows(theta, rows)
-    return np.concatenate([np.ones((len(rows), 1)), rows], axis=1) @ _paths_on(theta, ts)
-
-
 def _log_law(theta: Theta, rows: np.ndarray, ts: np.ndarray) -> tuple:
-    """log f_x(t) = log omega + Y - softplus(Y) - Lambda and Lambda per
-    covariate row and time, from one _link_integral call; t in [0, horizon]."""
-    if not np.all((ts >= 0.0) & (ts <= theta.horizon)):
-        raise DomainError(f"time outside [0, {theta.horizon}]; evaluation does not extrapolate")
-    knots = theta.grid.as_array()
-    y, soft, integral = _link_integral(knots, _link_rows(theta, rows, knots), ts[None, :])
-    lam = theta.omega * integral
-    return math.log(theta.omega) + y - soft - lam, lam
+    """log f_x(t) = log omega + log sigmoid(Y) - Lambda and Lambda per
+    covariate row and time, from hazard.law."""
+    _, log_sigmoid_y, lam = law(theta, rows, ts)
+    return math.log(theta.omega) + log_sigmoid_y - lam, lam
 
 
 def upsilon(theta0: Theta, theta: Theta, x, t: float) -> float:
@@ -431,8 +413,8 @@ def link_sup_check(theta: Theta, theta0: Theta, params: BSetParams, x_samples) -
         vacuous = True
     knots = np.union1d(np.asarray(theta.grid.points), np.asarray(theta0.grid.points))
     ts = np.union1d(knots[knots <= params.tau], np.linspace(0.0, params.tau, SUP_GRID_REFINE))
-    w = np.asarray([(1.0, *_as_covariate(x, theta.d).coords) for x in x_samples])
-    y, y0 = (w.reshape(-1, theta.d + 1) @ _paths_on(th, ts) for th in (theta, theta0))
+    rows = [_as_covariate(x, theta.d).coords for x in x_samples]
+    y, y0 = (_link_rows(th, rows, ts) for th in (theta, theta0))
     sig_gap = float(np.max(np.abs(expit(y) - expit(y0)), initial=0.0))
     log_gap = float(np.max(np.abs(log_sigmoid(y) - log_sigmoid(y0)), initial=0.0))
     bound = (theta.d + 1) * params.delta / (1.0 + params.tau)
@@ -533,7 +515,7 @@ def _survival_moments(theta0: Theta, xs: np.ndarray, t_cut: float, cuts) -> tupl
 
     E(T^p 1{T>a}) = a^p S(a) + int_a^inf p t^(p-1) S.  Every cut is a cell
     edge, so the integral from a is a suffix sum over the Gauss-Legendre
-    cells past a, all rows from one _log_law call.  Beyond the
+    cells past a, all rows from one hazard.law call.  Beyond the
     cutoff S is capped by S(t_cut) e^{-rate (t - t_cut)},
     rate = omega0 * sigma_min, so the values are upper estimates.  Returns
     the three stacked, shape (3, len(xs), len(cuts)).
@@ -543,7 +525,7 @@ def _survival_moments(theta0: Theta, xs: np.ndarray, t_cut: float, cuts) -> tupl
     y = _link_rows(theta0, xs, edges)
     rate = theta0.omega * _link_floor(y)[:, None]
     ts, w = _knot_cells(edges, y, theta0.omega)
-    surv = np.exp(-_log_law(theta0, xs, np.concatenate([ts, cuts, [t_cut]]))[1])
+    surv = np.exp(-law(theta0, xs, np.concatenate([ts, cuts, [t_cut]]))[2])
     s_ts, s_a, s_h = surv[:, :ts.size], surv[:, ts.size:-1], surv[:, -1:]
     past = np.searchsorted(ts, cuts, side="right")  # first node beyond each cut
     moments = []

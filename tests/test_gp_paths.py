@@ -152,6 +152,8 @@ class TestSampling:
             path.at(1.5)
         with pytest.raises(DomainError):
             path.at(-0.1)
+        with pytest.raises(DomainError):
+            path.at(float("nan"))
 
 
 class TestWeight:

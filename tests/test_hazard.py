@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import expit
+from scipy.special import expit, log_expit
 
 from gphazard.errors import DomainError, GenerationError
 from gphazard.gp_paths import DyadicGrid, GpPath, sample_path
@@ -22,6 +22,7 @@ from gphazard.hazard import (
     UniformQ,
     evaluate,
     generate_dataset,
+    law,
     mc_mean_hazard,
     sample_time,
     sample_times_batch,
@@ -192,6 +193,10 @@ class TestEvaluate:
             curve.cum_hazard_at(th.horizon + 0.1)
         with pytest.raises(DomainError):
             evaluate(th, (0.5,), -0.5)
+        for refuse in (curve.y_at, curve.hazard_at, curve.cum_hazard_at,
+                       lambda t: evaluate(th, (0.5,), t)):
+            with pytest.raises(DomainError):
+                refuse(math.nan)
 
     def test_covariate_dimension_checked(self):
         th = random_theta(4, d=1)
@@ -484,3 +489,59 @@ class TestSurvivalMatrix:
             survival_matrix(theta, [[1.5]], [1.0])
         with pytest.raises(DomainError):
             survival_matrix(theta, [[0.5, 0.5]], [1.0])
+        with pytest.raises(DomainError):
+            survival_matrix(theta, [[0.5]], [0.5, math.nan])
+        # no rows are a valid input at any d
+        for th in (theta, Theta.constant(omega=2.0, d=0, horizon=2.0)):
+            for xs in ([], np.empty((0, th.d))):
+                assert survival_matrix(th, xs, [0.5, 1.0]).shape == (0, 2)
+
+
+def mp_link(eta, x, knots, t):
+    """Y(t) = eta_0 + x . eta, interpolated linearly, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        yk = [mpmath.mpf(float(e0)) + sum(mpmath.mpf(float(xj)) * mpmath.mpf(float(ej))
+                                          for xj, ej in zip(x, es))
+              for e0, *es in zip(*eta)]
+        k = min(int(np.searchsorted(knots, t, side="right")) - 1, len(knots) - 2)
+        frac = (mpmath.mpf(float(t)) - knots[k]) / (mpmath.mpf(knots[k + 1]) - knots[k])
+        return yk, k, yk[k] + frac * (yk[k + 1] - yk[k])
+
+
+def mp_cum_hazard(omega, eta, x, knots, t):
+    """omega * int_0^t sigmoid(Y): on each knot cell the mean of sigmoid is
+    (softplus(Y_b) - softplus(Y_a)) / (Y_b - Y_a), in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        yk, k, y_t = mp_link(eta, x, knots, t)
+        ends = list(zip(knots[:k + 1], [*knots[1:k + 1], float(t)], yk[:k + 1], [*yk[1:k + 1], y_t]))
+        softplus = lambda y: mpmath.log1p(mpmath.exp(y))
+        total = mpmath.mpf(0)
+        for a, b, ya, yb in ends:
+            mean = 1 / (1 + mpmath.exp(-ya)) if ya == yb else (softplus(yb) - softplus(ya)) / (yb - ya)
+            total += (mpmath.mpf(b) - a) * mean
+        return float(omega * total)
+
+
+class TestLaw:
+    def test_matches_mpmath_on_saturated_steep_links(self):
+        # |Y| up to 40, jumps of about 80 across a cell and one flat saturated cell
+        grid = DyadicGrid(4.0, 3)
+        eta0 = (-39.0, 39.5, -39.0, 38.0, 38.0, -39.0, -39.5, 5.0, -0.5)
+        eta1 = (-1.0, 0.5, -1.0, 1.5, 1.5, 0.0, 1.0, -2.0, 0.5)
+        theta = Theta(1.7, (GpPath(grid, eta0), GpPath(grid, eta1)))
+        knots = theta.grid.as_array()
+        rng = np.random.default_rng(3)
+        xs = np.array([[0.0], [0.25], [0.5], [1.0]])
+        ts = np.concatenate([knots, rng.uniform(0.0, theta.horizon, 20)])
+        y, log_sig, lam = law(theta, xs, ts)
+        assert y.shape == log_sig.shape == lam.shape == (len(xs), ts.size)
+        assert np.max(np.abs(y)) > 39.0
+        eta = [p.values for p in theta.paths]
+        for i, x in enumerate(xs):
+            for j, t in enumerate(ts):
+                want_y = float(mp_link(eta, x, knots.tolist(), t)[2])
+                assert_allclose(y[i, j], want_y, rtol=0, atol=1e-14 * max(1.0, abs(want_y)))
+                want = mp_cum_hazard(theta.omega, eta, x, knots.tolist(), t)
+                assert_allclose(lam[i, j], want, rtol=1e-12, atol=0)
+        # Y - softplus(Y) keeps no relative digits for Y >> 0, harmlessly inside log f
+        assert np.all(np.abs(log_sig - log_expit(y)) <= 1e-14 * np.maximum(1.0, np.abs(y)))

@@ -263,6 +263,9 @@ class TestLogLikelihood:
         )
         with pytest.raises(DomainError, match="exceeds the representation horizon|exceeds representation horizon"):
             log_likelihood(rep, far)
+        for t in (21.0, -0.5, math.nan):
+            with pytest.raises(DomainError, match="record time"):
+                log_likelihood(rep, single_record(t))
 
     def test_overflow_names_the_record(self):
         # omega * integral overflows for the second record only
