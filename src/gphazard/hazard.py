@@ -197,7 +197,8 @@ def _softplus_tail(y):
 
     Differences of tails keep their digits where softplus itself is large.
     """
-    return np.log1p(np.exp(-np.abs(y)))
+    out = np.abs(y)
+    return np.log1p(np.exp(np.negative(out, out=out), out=out), out=out)
 
 
 def _mean_sigmoid(y0, y1, tail0, tail1):
@@ -210,36 +211,61 @@ def _mean_sigmoid(y0, y1, tail0, tail1):
     """
     dy = y1 - y0
     flat = np.abs(dy) < _FLAT_DY
-    out = (np.maximum(y1, 0.0) - np.maximum(y0, 0.0) + (tail1 - tail0)) / np.where(flat, 1.0, dy)
-    if flat.any():
-        s = expit(0.5 * (y0[flat] + y1[flat]))
-        out[flat] = s + s * (1.0 - s) * (1.0 - 2.0 * s) * dy[flat] ** 2 / 24.0
+    out = np.maximum(y1, 0.0) - np.maximum(y0, 0.0) + (tail1 - tail0)
+    if not np.count_nonzero(flat):
+        return np.divide(out, dy, out=out)
+    out /= np.where(flat, 1.0, dy)
+    s = expit(0.5 * (y0[flat] + y1[flat]))
+    out[flat] = s + s * (1.0 - s) * (1.0 - 2.0 * s) * dy[flat] ** 2 / 24.0
     return out
 
 
-def _link_integral(knots, y, t):
+def _locate(knots, t):
+    """Each time's knot cell and its offset into the cell.  Callers check
+    that t lies in [0, knots[-1]]; the last knot falls in the last cell."""
+    cell = np.minimum(np.searchsorted(knots, t, "right") - 1, len(knots) - 2)
+    return cell, t - knots[cell]
+
+
+def _link_integral(knots, y, cell, width):
     """Y(t), softplus(Y(t)) and the integral of sigmoid(Y) over [0, t].
 
     y holds link rows at the knots, shape (m, K), and Y is their linear
-    interpolant; t broadcasts against (m, 1) and lies in
-    [0, knots[-1]].  Y is linear on each knot cell, so each integral is
-    exact: the whole cells are summed once per row, and each t adds only
-    its partial cell, at the cost of one softplus.
+    interpolant.  The times t come located, as the cell and width from
+    _locate, which broadcast against (m, 1): law locates its shared times
+    once per call, the likelihood its record times once per dataset.  Y is
+    linear on each knot cell, so each integral is exact: the whole cells
+    are summed once per row, and each t adds only its partial cell, at the
+    cost of one softplus.
     """
-    dt = np.diff(knots)
-    tail = _softplus_tail(y)
-    whole = dt * _mean_sigmoid(y[:, :-1], y[:, 1:], tail[:, :-1], tail[:, 1:])
-    cum = np.concatenate([np.zeros((len(y), 1)), np.cumsum(whole, axis=1)], axis=1)
-    slope = np.concatenate([np.diff(y) / dt, np.zeros((len(y), 1))], axis=1)
-    k = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
-    # one flat index into the (m, K) tables serves every gather
-    at = np.arange(len(y))[:, None] * len(knots) + k
-    y0 = np.take(y, at)
-    width = t - knots[k]
-    y_t = y0 + width * np.take(slope, at)
+    m, k = y.shape
+    # The rows laid end to end, plus a pad, so that every pass below runs
+    # over contiguous memory: flat cell j runs from ends[j] to ends[j + 1].
+    # As (m, K) tables, row i holds row i's K - 1 cells, then the cell that
+    # joins it to row i + 1, which is never read.
+    ends = np.zeros(m * k + 1)
+    ends[:-1] = y.ravel()
+    tail = _softplus_tail(ends)
+    span = np.empty(k)  # the cell widths, then 1 under each joining cell
+    span[-1] = 1.0
+    np.subtract(knots[1:], knots[:-1], out=span[:-1])
+    # cum[i, j], the integral over row i's cells before knot j: the whole
+    # cells shifted one column right (the shift puts the joining cell in
+    # column 0, which is set to 0), then summed along each row
+    shifted = np.empty(m * k + 1)
+    mean = _mean_sigmoid(ends[:-1], ends[1:], tail[:-1], tail[1:])
+    np.multiply(mean.reshape(m, k), span, out=shifted[1:].reshape(m, k))
+    cum = shifted[:-1].reshape(m, k)
+    cum[:, 0] = 0.0
+    cum.cumsum(axis=1, out=cum)
+    slope = (ends[1:] - ends[:-1]).reshape(m, k) / span
+    # one flat index into the tables serves every gather
+    at = cell if m == 1 else np.arange(0, m * k, k)[:, None] + cell
+    y0 = y.take(at)
+    y_t = y0 + width * slope.take(at)
     tail_t = _softplus_tail(y_t)
-    part = width * _mean_sigmoid(y0, y_t, np.take(tail, at), tail_t)
-    return y_t, np.maximum(y_t, 0.0) + tail_t, np.take(cum, at) + part
+    part = width * _mean_sigmoid(y0, y_t, tail.take(at), tail_t)
+    return y_t, np.maximum(y_t, 0.0) + tail_t, cum.take(at) + part
 
 
 def _check_times(theta: Theta, t) -> np.ndarray:
@@ -273,7 +299,8 @@ def law(theta: Theta, xs, ts) -> tuple:
     """
     ts = _check_times(theta, ts)
     knots = theta.grid.as_array()
-    y, soft, integral = _link_integral(knots, _link_rows(theta, xs, knots), ts.reshape(1, -1))
+    cell, width = _locate(knots, ts.reshape(1, -1))
+    y, soft, integral = _link_integral(knots, _link_rows(theta, xs, knots), cell, width)
     return y, y - soft, theta.omega * integral
 
 

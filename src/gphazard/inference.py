@@ -29,7 +29,7 @@ from scipy.stats import spearmanr
 
 from .errors import DomainError, GpHazardError, NumericError
 from .gp_paths import TimeGrid, _covariance_cholesky
-from .hazard import SurvivalDataset, Theta, _link_integral, _paths_on, generate_dataset
+from .hazard import SurvivalDataset, Theta, _link_integral, _locate, _paths_on, generate_dataset
 from .kernels import StationaryKernel
 # sup_deviation_metric is bound here for bench/tracing.py, which wraps it
 # in every module that imports it
@@ -182,16 +182,18 @@ class _Likelihood:
 
     Each record needs log sigmoid(Y_i(t_i)) and the integral of
     sigmoid(Y_i) over [0, t_i], both exact from hazard._link_integral.
-    With no covariates every record shares one link row, so its whole
-    knot cells are integrated once per evaluation and each record adds
-    only its partial cell.
+    The record times are checked and located in their knot cells once
+    per dataset, so an evaluation does no search.  With no covariates
+    every record shares one link row, so its whole knot cells are
+    integrated once per evaluation and each record adds only its partial
+    cell.
     """
 
     def __init__(self, dataset: SurvivalDataset, knots):
         kn = np.asarray(knots, dtype=float)
         t = dataset.times_array()
         horizon = float(kn[-1])
-        if dataset.horizon > horizon:
+        if not dataset.horizon <= horizon:  # NaN fails too
             raise DomainError(
                 f"dataset horizon {dataset.horizon:g} exceeds representation horizon {horizon:g}"
             )
@@ -200,20 +202,19 @@ class _Likelihood:
         self.knots = kn
         self.x = dataset.covariates_array()
         self.d = dataset.d
-        self.n = dataset.n
         # the shared row (d = 0) takes the times along its one row
-        self.t = t[None, :] if self.d == 0 else t[:, None]
+        self.cell, self.width = _locate(kn, t[None, :] if self.d == 0 else t[:, None])
 
     def pieces(self, values) -> tuple:
         """(log link at each record time, integrated link over [0, t_i])."""
         vals = np.asarray(values, dtype=float)
         y = vals[:1] if self.d == 0 else vals[0] + self.x @ vals[1:]
-        y_t, softplus_t, lam = _link_integral(self.knots, y, self.t)
+        y_t, softplus_t, lam = _link_integral(self.knots, y, self.cell, self.width)
         return (y_t - softplus_t).ravel(), lam.ravel()
 
     def parts(self, values) -> tuple:
         logsig, lam = self.pieces(values)
-        return float(np.sum(logsig)), float(np.sum(lam))
+        return float(logsig.sum()), float(lam.sum())
 
     def per_record(self, omega: float, values) -> np.ndarray:
         logsig, lam = self.pieces(values)

@@ -27,6 +27,7 @@ from gphazard.hazard import (
     sample_time,
     sample_times_batch,
     _link_integral,
+    _locate,
     _mean_sigmoid,
     _softplus_tail,
     survival_matrix,
@@ -246,18 +247,28 @@ class TestClosedForm:
         rng = np.random.default_rng(8)
         knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, 8))])
         y = rng.normal(0.0, 3.0, (3, knots.size))
-        t = np.array([[0.0], [knots[3]], [knots[-1]]])
-        t = np.concatenate([t, rng.uniform(0.0, knots[-1], (3, 4))], axis=1)
-        y_t, softplus_t, integral = _link_integral(knots, y, t)
-        for i in range(3):
-            for j in range(t.shape[1]):
-                ti = t[i, j]
+        # t = 0, every interior knot and the last knot, then random times
+        t = np.concatenate([np.tile(knots, (3, 1)), rng.uniform(0.0, knots[-1], (3, 4))], axis=1)
+        column = np.array([[0.0], [knots[3]], [knots[-1]]])
+        # one row at many times, each row at its own time, each row at many times
+        for rows, ts in ((y[:1], t[:1]), (y, column), (y, t)):
+            cell, width = _locate(knots, ts)
+            searched = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, len(knots) - 2)
+            assert_array_equal(cell, searched)
+            assert_array_equal(width, ts - knots[searched])
+            y_t, softplus_t, integral = _link_integral(knots, rows, cell, width)
+            for i, j in np.ndindex(ts.shape):
+                ti = ts[i, j]
                 inner = [k for k in knots if 0.0 < k < ti] or None
-                want, _ = quad(lambda s: expit(np.interp(s, knots, y[i])), 0.0, ti,
+                want, _ = quad(lambda s: expit(np.interp(s, knots, rows[i])), 0.0, ti,
                                points=inner, epsabs=0.0, epsrel=1e-13)
                 assert_allclose(integral[i, j], want, rtol=1e-12, atol=1e-300)
-                assert_allclose(y_t[i, j], np.interp(ti, knots, y[i]), rtol=1e-14, atol=1e-14)
+                assert_allclose(y_t[i, j], np.interp(ti, knots, rows[i]), rtol=1e-14, atol=1e-14)
                 assert_allclose(softplus_t[i, j], np.logaddexp(0.0, y_t[i, j]), rtol=1e-14)
+        # the last knot falls in the last cell, at that cell's full width
+        cell, width = _locate(knots, t)
+        assert np.all(cell[:, knots.size - 1] == knots.size - 2)
+        assert np.all(width[:, knots.size - 1] == knots[-1] - knots[-2])
 
 
 class TestSampling:

@@ -258,11 +258,12 @@ class TestLogLikelihood:
 
     def test_rejects_dataset_past_horizon(self):
         rep = ThetaRep(1.0, (0.0, 20.0), ((0.0, 0.0),))
-        far = SurvivalDataset(
-            times=(1.0,), covariates=((),), design="RD", q_descriptor={}, horizon=25.0
-        )
-        with pytest.raises(DomainError, match="exceeds the representation horizon|exceeds representation horizon"):
-            log_likelihood(rep, far)
+        for horizon in (25.0, math.nan):
+            far = SurvivalDataset(
+                times=(1.0,), covariates=((),), design="RD", q_descriptor={}, horizon=horizon
+            )
+            with pytest.raises(DomainError, match="exceeds the representation horizon|exceeds representation horizon"):
+                log_likelihood(rep, far)
         for t in (21.0, -0.5, math.nan):
             with pytest.raises(DomainError, match="record time"):
                 log_likelihood(rep, single_record(t))
@@ -279,6 +280,71 @@ class TestLogLikelihood:
         )
         with pytest.raises(NumericError, match="record 1"):
             log_likelihood(huge, dataset)
+
+
+class TestBitIdentityPins:
+    """Exact values of the likelihood and of two short chains.
+
+    Recorded from the likelihood as it stood when every evaluation
+    searched the knots for each record time afresh (np.searchsorted and
+    np.clip per call).  Record times are now located once per dataset;
+    every value still comes from the same floating-point operations in
+    the same order, so these are compared with ==, not to a tolerance.
+    They cover the shared d = 0 row, per-record rows at d = 1 and 2, and
+    links from flat (every cell on the midpoint branch of _mean_sigmoid)
+    to saturated (|Y| around 40).
+    """
+
+    SCALES = {"flat": 1e-5, "moderate": 1.0, "saturated": 40.0}
+    PARTS = {
+        (0, 1000, "flat"): (-693.1518919430828, 505.3549628390771),
+        (0, 1000, "moderate"): (-1286.5022854450408, 287.2431483924941),
+        (0, 1000, "saturated"): (-38442.241045250295, 52.46580645950743),
+        (1, 100, "flat"): (-69.31500361530928, 58.730805555890974),
+        (1, 100, "moderate"): (-111.10407587324889, 45.59209553428868),
+        (1, 100, "saturated"): (-2926.873976744096, 42.17828351277051),
+        (2, 60, "flat"): (-41.58882889015085, 25.01848634564698),
+        (2, 60, "moderate"): (-43.238776653850195, 25.00304358398663),
+        (2, 60, "saturated"): (-473.6323290466524, 22.952145456408505),
+    }
+    # (omega, values) of the first and the last recorded draw
+    CHAINS = {
+        0: (
+            (4.396964401441146, ((-1.0049442728846185, -1.1201208503716487, -0.36138302548327406,
+                                  -0.7017270164805974, -0.39477254951414487),)),
+            (1.5720914896936464, ((0.6300798293331652, 0.39197180019386096, -0.06323873792210209,
+                                   -1.2970045362134701, -0.654356936415462),)),
+        ),
+        1: (
+            (1.9927065329083902, ((-0.590889474338163, -0.600321682238498, 0.4399740967054574,
+                                   0.3886421384811401, -1.3063589487438536),
+                                  (0.600039420568629, 0.5623681968104633, -0.5647332962925813,
+                                   -1.8538085572893719, 0.4903760801691671))),
+            (4.178538056853135, ((-1.3651650717215544, -1.4827357734299582, -1.2412901068970539,
+                                  -1.2055892105637926, -1.535493133996143),
+                                 (0.42700300516391876, 0.07503746617788526, 0.5260001849803376,
+                                  0.2726175379473987, -1.3411398586651166))),
+        ),
+    }
+
+    @pytest.mark.parametrize("d, n, link", sorted(PARTS))
+    def test_likelihood_parts(self, d, n, link):
+        theta0 = Theta.constant(2.0, d, 8.0)
+        dataset = generate_dataset(theta0, n, "RD", UniformQ(d), 8.0, seed=30 + d)
+        knots = np.linspace(0.0, 8.0, 9)
+        unit = np.random.default_rng(40 + d).standard_normal((d + 1, knots.size))
+        lik = _Likelihood(dataset, knots)
+        assert lik.parts(self.SCALES[link] * unit) == self.PARTS[d, n, link]
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_chain_ends(self, d):
+        theta0 = Theta.constant(2.0, d, 8.0)
+        dataset = generate_dataset(theta0, 200, "RD", UniformQ(d), 8.0, seed=50 + d)
+        prior = ModelPrior((se3(),) * (d + 1), OmegaPrior(2.0, 1.0))
+        cfg = McmcConfig(120, 20, 10, 0.3, 60 + d)
+        run = mcmc_run(dataset, prior, cfg, tuple(np.linspace(0.0, 8.0, 5)))
+        ends = tuple((draw.omega, draw.values) for draw in (run.draws[0], run.draws[-1]))
+        assert ends == self.CHAINS[d]
 
 
 class TestLogPosterior:
