@@ -64,10 +64,8 @@ _PI4 = math.pi ** 4
 
 
 def _check_d(d) -> int:
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 0:
         raise DomainError(f"d must be a nonnegative integer, got {d!r}")
-    if d < 0:
-        raise DomainError(f"d must be >= 0, got {d}")
     return int(d)
 
 

@@ -97,7 +97,7 @@ class Theta:
     paths: tuple
 
     def __post_init__(self):
-        if not self.omega > 0:
+        if not (np.isfinite(self.omega) and self.omega > 0):
             raise DomainError(f"omega must be positive, got {self.omega}")
         if not self.paths:
             raise DomainError("theta needs at least the baseline path eta_0")

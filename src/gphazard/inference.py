@@ -3,7 +3,9 @@
 The sampler works on a finite-dimensional surrogate of the path prior:
 each latent path is represented by its values at K fixed knots and
 linearly interpolated in between, so the prior on a path is the
-multivariate normal its kernel induces at the knots.  Each Gibbs
+multivariate normal its kernel induces at the knots.  A draw is a
+hazard.Theta whose paths all share the sampler's one knot grid, so the
+laws and metrics read a draw as they read the truth.  Each Gibbs
 scan moves every path by a prior-reversible whole-path proposal,
 accepted on the likelihood ratio alone, then draws the hazard scale
 exactly from its Gamma full conditional: the likelihood in omega is
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -29,14 +31,13 @@ from scipy.stats import spearmanr
 
 from .errors import DomainError, GpHazardError, NumericError
 from .gp_paths import TimeGrid, _covariance_cholesky
-from .hazard import SurvivalDataset, Theta, _link_integral, _locate, _paths_on, generate_dataset
+from .hazard import SurvivalDataset, Theta, _link_integral, _locate, generate_dataset
 from .kernels import StationaryKernel
 # sup_deviation_metric is bound here for bench/tracing.py, which wraps it
 # in every module that imports it
 from .vc import GridSpec, _BoxTable, sup_deviation_metric  # noqa: F401
 
 __all__ = [
-    "ThetaRep",
     "OmegaPrior",
     "ModelPrior",
     "McmcConfig",
@@ -50,59 +51,6 @@ __all__ = [
     "posterior_outside_mass",
     "consistency_experiment",
 ]
-
-
-@dataclass(frozen=True)
-class ThetaRep:
-    """Finite-dimensional state: hazard scale plus path values at knots.
-
-    knots are shared by all d+1 paths, strictly increasing from 0;
-    values holds one row of K reals per path.
-    """
-
-    omega: float
-    knots: tuple
-    values: tuple
-
-    def __post_init__(self):
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise DomainError(f"omega must be a positive real, got {self.omega}")
-        kn = np.asarray(self.knots, dtype=float)
-        if kn.ndim != 1 or kn.size < 2:
-            raise DomainError("need at least 2 knots")
-        if kn[0] != 0.0 or not np.all(np.diff(kn) > 0):
-            raise DomainError("knots must start at 0 and increase strictly")
-        rows = tuple(tuple(float(v) for v in row) for row in self.values)
-        if not rows:
-            raise DomainError("need at least one path row")
-        k = kn.size
-        for j, row in enumerate(rows):
-            if len(row) != k:
-                raise DomainError(f"path {j} has {len(row)} values for {k} knots")
-            if not all(np.isfinite(row)):
-                raise DomainError(f"path {j} has non-finite values")
-        object.__setattr__(self, "knots", tuple(float(t) for t in kn))
-        object.__setattr__(self, "values", rows)
-
-    @property
-    def d(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def horizon(self) -> float:
-        return self.knots[-1]
-
-    def to_theta(self) -> Theta:
-        return Theta.from_values(self.omega, TimeGrid(self.knots), self.values)
-
-    @classmethod
-    def from_theta(cls, theta: Theta, knots) -> "ThetaRep":
-        """Sample the theta's paths at the given knots."""
-        kn = np.asarray(knots, dtype=float)
-        if kn.size and kn[-1] > theta.horizon:
-            raise DomainError("knots extend past the theta horizon")
-        rows = tuple(tuple(row) for row in _paths_on(theta, kn).tolist())
-        return cls(theta.omega, tuple(float(t) for t in kn), rows)
 
 
 @dataclass(frozen=True)
@@ -223,42 +171,50 @@ class _Likelihood:
             return math.log(omega) + logsig - omega * lam
 
 
-def _require_compatible(rep: ThetaRep, dataset: SurvivalDataset):
-    if rep.d != dataset.d:
-        raise DomainError(f"representation has d={rep.d}, dataset has d={dataset.d}")
-
-
-def log_likelihood(rep: ThetaRep, dataset: SurvivalDataset) -> float:
-    """Sum of log densities of the observed records under rep."""
-    _require_compatible(rep, dataset)
+def log_likelihood(theta: Theta, dataset: SurvivalDataset) -> float:
+    """Sum of log densities of the observed records under theta."""
+    if theta.d != dataset.d:
+        raise DomainError(f"theta has d={theta.d}, dataset has d={dataset.d}")
     if dataset.n == 0:
         raise DomainError("dataset is empty")
-    per = _Likelihood(dataset, rep.knots).per_record(rep.omega, rep.values)
+    values = [p.values for p in theta.paths]
+    per = _Likelihood(dataset, theta.grid.points).per_record(theta.omega, values)
     bad = np.flatnonzero(~np.isfinite(per))
     if bad.size:
         raise NumericError(f"record {int(bad[0])}: non-finite log-likelihood")
     return float(np.sum(per))
 
 
-def _path_log_prior(values, knots, kernels) -> float:
-    kn = np.asarray(knots, dtype=float)
+def _path_log_prior(theta: Theta, kernels) -> float:
+    kn = theta.grid.as_array()
     k = kn.size
     lp = 0.0
-    for row, kernel in zip(values, kernels):
+    for path, kernel in zip(theta.paths, kernels):
         chol, _ = _covariance_cholesky(kernel, kn)
-        z = solve_triangular(chol, np.asarray(row, dtype=float), lower=True)
+        z = solve_triangular(chol, np.asarray(path.values), lower=True)
         lp += -0.5 * float(z @ z) - float(np.sum(np.log(np.diag(chol)))) - 0.5 * k * math.log(2.0 * math.pi)
     return lp
 
 
-def log_posterior(rep: ThetaRep, dataset: SurvivalDataset, prior: ModelPrior) -> float:
+def log_posterior(theta: Theta, dataset: SurvivalDataset, prior: ModelPrior) -> float:
     """Log likelihood plus log prior of the knot values and the scale."""
-    if len(prior.kernels) != rep.d + 1:
+    if len(prior.kernels) != theta.d + 1:
         raise DomainError(
-            f"prior has {len(prior.kernels)} kernels for d={rep.d} (need {rep.d + 1})"
+            f"prior has {len(prior.kernels)} kernels for d={theta.d} (need {theta.d + 1})"
         )
-    lik = log_likelihood(rep, dataset)
-    return lik + _path_log_prior(rep.values, rep.knots, prior.kernels) + prior.omega.logpdf(rep.omega)
+    lik = log_likelihood(theta, dataset)
+    return lik + _path_log_prior(theta, prior.kernels) + prior.omega.logpdf(theta.omega)
+
+
+def _knot_grid(knots) -> TimeGrid:
+    """The sampler's knot grid: a TimeGrid of at least 2 knots."""
+    try:
+        grid = TimeGrid(knots)
+    except DomainError as exc:
+        raise DomainError(f"bad knots: {exc}") from None
+    if len(grid.points) < 2:
+        raise DomainError(f"need at least 2 knots, got {len(grid.points)}")
+    return grid
 
 
 def _pcn_step(values, j, chol, beta, omega, parts, current, rng):
@@ -315,6 +271,7 @@ def mcmc_run(
 ) -> McmcReport:
     """Gibbs sampler over (omega, path values at knots).
 
+    Each recorded draw is a Theta; all draws share one TimeGrid of the knots.
     One scan per iteration: a prior-reversible move per path, accepted
     on the likelihood ratio at the current omega, then an exact draw
     omega ~ Gamma(a + n, b + I) from its full conditional, where I sums
@@ -328,9 +285,8 @@ def mcmc_run(
     Path acceptance is measured after burn_in; a rate below 1% or above
     99% is reported as a warning, not an error.
     """
-    kn = tuple(float(t) for t in np.asarray(knots, dtype=float))
-    if len(kn) < 2 or kn[0] != 0.0 or not all(b > a for a, b in zip(kn, kn[1:])):
-        raise DomainError("knots must start at 0 and increase strictly")
+    grid = _knot_grid(knots)
+    kn = grid.points
     d = len(prior.kernels) - 1
     if prior_only:
         n, parts = 0, lambda values: (0.0, 0.0)
@@ -361,9 +317,7 @@ def mcmc_run(
         # smallest normal double, which keeps the law up to representation
         omega = float(rng.gamma(shape, 1.0 / (rate + current[1]))) or np.finfo(float).tiny
         if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:
-            draws.append(
-                ThetaRep(omega, kn, tuple(tuple(float(v) for v in row) for row in values))
-            )
+            draws.append(Theta.from_values(omega, grid, values))
 
     rate_paths = accepted / ((config.iterations - config.burn_in) * (d + 1))
     warnings = []
@@ -393,10 +347,11 @@ def posterior_outside_mass(
 ) -> float:
     """Fraction of draws farther than epsilon from theta0 in the sup metric.
 
-    The atoms and theta0's survival rows are resolved once per call; each
-    draw then costs one survival_matrix call and one box table, the same
-    computation as sup_deviation_metric(draw, theta0, ...), with the same
-    memory bound per table.
+    draws are Thetas, such as McmcReport.draws.  The atoms and theta0's
+    survival rows are resolved once per call; each draw then costs one
+    survival_matrix call and one box table, the same computation as
+    sup_deviation_metric(draw, theta0, ...), with the same memory bound
+    per table.
     """
     draws = tuple(draws)
     if not draws:
@@ -404,7 +359,7 @@ def posterior_outside_mass(
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise DomainError(f"epsilon must be a positive real, got {epsilon}")
     table = _BoxTable(theta0, design, q_grid, grid)
-    outside = sum(table.deviation(rep.to_theta()).value > epsilon for rep in draws)
+    outside = sum(table.deviation(theta).value > epsilon for theta in draws)
     return outside / len(draws)
 
 
@@ -446,9 +401,7 @@ class ExperimentSpec:
             raise DomainError(f"epsilon must be a positive real, got {self.epsilon}")
         if not 0 < self.horizon <= self.theta0.horizon:
             raise DomainError("horizon must be positive and within the truth's grid")
-        kn = tuple(float(t) for t in self.knots)
-        if len(kn) < 2:
-            raise DomainError(f"need at least 2 knots, got {len(kn)}")
+        kn = _knot_grid(self.knots).points
         if kn[-1] < self.theta0.horizon:
             raise DomainError(
                 "knots must cover the truth horizon; censored records are retried "

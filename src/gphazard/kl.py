@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, polygamma
 
+from .bounds import _check_d
 from .errors import DomainError, GenerationError, NumericError
 from .gp_paths import h_weight
 # HazardCurve is bound here for bench/tracing.py, which wraps it by name;
@@ -60,9 +61,7 @@ class BSetParams:
             raise DomainError(f"delta must lie in (0, 1/2), got {self.delta}")
         if not self.tau >= 1.0:
             raise DomainError(f"tau must be >= 1, got {self.tau}")
-        if int(self.d) != self.d or self.d < 0:
-            raise DomainError(f"d must be a nonnegative integer, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _check_d(self.d))
 
     @property
     def sup_limit(self) -> float:

@@ -3,15 +3,19 @@
 bench/tracing.py looks up each name it patches (for example
 `kl.HazardCurve` and `inference.sup_deviation_metric`) in its owner's
 namespace, so entering `installed` raises KeyError when a refactor drops
-one.  This test enters and leaves it, without running a workload.
+one.  The first test enters and leaves it, without running a workload;
+the second runs a tiny chain under it, because the tracer also reads
+attributes of the sampler's results.
 """
 
 import importlib.util
 from pathlib import Path
 
 from gphazard import bounds, cli, gp_paths, hazard, inference, kl, vc
-from gphazard.hazard import SurvivalDataset, Theta
+from gphazard.hazard import SurvivalDataset, Theta, UniformQ, generate_dataset
+from gphazard.inference import McmcConfig, ModelPrior, OmegaPrior
 from gphazard.kernels import StationaryKernel
+from gphazard.vc import GridSpec
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 OWNERS = (bounds, cli, gp_paths, hazard, inference, kl, vc, SurvivalDataset, StationaryKernel)
@@ -35,3 +39,22 @@ def test_tracer_finds_every_name_and_restores_it():
         kl.HazardCurve(Theta.constant(2.0, 0, 4.0), ())
     assert [dict(vars(owner)) for owner in OWNERS] == before
     assert [span[0] for span in recorder.spans] == ["hazard.HazardCurve"]
+
+
+def test_tracer_reads_the_sampler_results():
+    # the posterior-ladder metrics come from len(draws), acceptance_paths
+    # and acceptance_omega of these two calls
+    tracing = load_tracing()
+    theta0 = Theta.constant(2.0, 0, 4.0)
+    dataset = generate_dataset(theta0, 20, "RD", UniformQ(0), 4.0, seed=1)
+    prior = ModelPrior((StationaryKernel.se(lengthscale=3.0),), OmegaPrior(2.0, 1.0))
+    recorder = tracing.Recorder()
+    with tracing.installed(recorder):
+        run = inference.mcmc_run(dataset, prior, McmcConfig(20, 10, 2, 0.3, 0), (0.0, 2.0, 4.0))
+        inference.posterior_outside_mass(
+            run.draws, theta0, 0.1, "RD", UniformQ(0), GridSpec.regular(4.0, 5, 0)
+        )
+    attrs = {span[0]: span[4] for span in recorder.spans if span[0].startswith("inference.")}
+    assert attrs["inference.mcmc_run"]["accept_paths"] == run.acceptance_paths
+    assert attrs["inference.mcmc_run"]["accept_omega"] == 1.0
+    assert attrs["inference.posterior_outside_mass"] == {"draws": 5}

@@ -106,6 +106,10 @@ class TestThetaAndCovariate:
         with pytest.raises(DomainError):
             Theta(1.0, (path, other))
         assert Theta(1.0, (path,)).d == 0
+        with pytest.raises(DomainError, match="omega"):
+            Theta(math.inf, (path,))
+        with pytest.raises(DomainError, match="omega"):
+            Theta.constant(math.inf, 0, 4.0)
 
     def test_constant_builder(self):
         th = Theta.constant(2.0, d=2, horizon=5.0, level=4)

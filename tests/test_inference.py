@@ -20,7 +20,7 @@ from scipy.stats import multivariate_normal
 
 from conftest import brute_metric
 from gphazard.errors import DomainError, NumericError
-from gphazard.gp_paths import JITTER_FACTOR, _covariance_cholesky
+from gphazard.gp_paths import JITTER_FACTOR, TimeGrid, _covariance_cholesky
 from gphazard.hazard import (
     Covariate,
     HazardCurve,
@@ -37,7 +37,6 @@ from gphazard.inference import (
     McmcConfig,
     ModelPrior,
     OmegaPrior,
-    ThetaRep,
     consistency_experiment,
     log_likelihood,
     log_posterior,
@@ -53,9 +52,9 @@ def se3():
     return StationaryKernel.se(lengthscale=3.0)
 
 
-def flat_rep(omega, horizon=10.0):
+def flat_theta(omega, horizon=10.0):
     # constant-zero path: link is 1/2 everywhere, hazard omega/2
-    return ThetaRep(omega, (0.0, horizon), ((0.0, 0.0),))
+    return Theta.from_values(omega, TimeGrid((0.0, horizon)), ((0.0, 0.0),))
 
 
 def single_record(t, horizon=10.0):
@@ -65,29 +64,15 @@ def single_record(t, horizon=10.0):
 
 
 class TestThetaRep:
+    """The sampler's θ representation: a `Theta` built by `Theta.from_values`
+    on a `TimeGrid` of the knots, as `mcmc_run` records each draw."""
+
     def test_props(self):
-        rep = ThetaRep(1.5, (0.0, 2.0, 5.0), ((0.0, 1.0, -1.0), (0.5, 0.5, 0.5)))
-        assert rep.d == 1
-        assert rep.horizon == 5.0
-
-    def test_round_trip_through_theta(self):
-        knots = (0.0, 1.0, 3.0, 7.0)
-        rows = ((0.2, -0.4, 1.1, 0.0), (1.0, 0.0, -1.0, 2.0))
-        rep = ThetaRep(2.5, knots, rows)
-        back = ThetaRep.from_theta(rep.to_theta(), knots)
-        assert back.omega == rep.omega
-        assert back.knots == rep.knots
-        assert_allclose(back.values, rows, rtol=0, atol=1e-15)
-
-    def test_from_theta_interpolates(self):
-        rep = ThetaRep(1.0, (0.0, 2.0), ((0.0, 4.0),))
-        coarse = ThetaRep.from_theta(rep.to_theta(), (0.0, 1.0, 2.0))
-        assert_allclose(coarse.values[0], (0.0, 2.0, 4.0))
-
-    def test_from_theta_past_horizon(self):
-        rep = ThetaRep(1.0, (0.0, 2.0), ((0.0, 0.0),))
-        with pytest.raises(DomainError, match="past the theta horizon"):
-            ThetaRep.from_theta(rep.to_theta(), (0.0, 3.0))
+        theta = Theta.from_values(
+            1.5, TimeGrid((0.0, 2.0, 5.0)), ((0.0, 1.0, -1.0), (0.5, 0.5, 0.5))
+        )
+        assert theta.d == 1
+        assert theta.horizon == 5.0
 
     @pytest.mark.parametrize(
         "omega,knots,values",
@@ -101,11 +86,15 @@ class TestThetaRep:
             (1.0, (0.0, 1.0), ()),
             (1.0, (0.0, 1.0), ((0.0, 0.0, 0.0),)),
             (1.0, (0.0, 1.0), ((0.0, math.inf),)),
+            (math.inf, (0.0, 1.0), ((0.0, 0.0),)),
         ],
     )
     def test_rejects(self, omega, knots, values):
-        with pytest.raises(DomainError):
-            ThetaRep(omega, knots, values)
+        # a non-finite path value is GpPath's NumericError; every other case
+        # lies outside the parameter's domain
+        finite = all(math.isfinite(v) for row in values for v in row)
+        with pytest.raises(DomainError if finite else NumericError):
+            Theta.from_values(omega, TimeGrid(knots), values)
 
 
 class TestOmegaPrior:
@@ -180,17 +169,17 @@ class TestLogLikelihood:
     def test_exponential_closed_form(self):
         # flat path at 0 with omega 2 is the unit exponential; density at
         # t=1 is e^{-1}
-        assert log_likelihood(flat_rep(2.0), single_record(1.0)) == pytest.approx(
+        assert log_likelihood(flat_theta(2.0), single_record(1.0)) == pytest.approx(
             -1.0, abs=1e-12
         )
 
     def test_exponential_other_scale(self):
         # hazard 3/2, record at t=2: log(3/2) - 3
-        ll = log_likelihood(flat_rep(3.0), single_record(2.0))
+        ll = log_likelihood(flat_theta(3.0), single_record(2.0))
         assert_allclose(ll, math.log(1.5) - 3.0, rtol=1e-12)
 
     def test_sums_over_records(self):
-        rep = flat_rep(2.0)
+        theta = flat_theta(2.0)
         both = SurvivalDataset(
             times=(1.0, 2.5),
             covariates=((), ()),
@@ -198,9 +187,9 @@ class TestLogLikelihood:
             q_descriptor={},
             horizon=10.0,
         )
-        total = log_likelihood(rep, both)
-        split = log_likelihood(rep, single_record(1.0)) + log_likelihood(
-            rep, single_record(2.5)
+        total = log_likelihood(theta, both)
+        split = log_likelihood(theta, single_record(1.0)) + log_likelihood(
+            theta, single_record(2.5)
         )
         assert_allclose(total, split, rtol=1e-12)
 
@@ -208,7 +197,7 @@ class TestLogLikelihood:
         rng = np.random.default_rng(5)
         knots = np.linspace(0.0, 6.0, 5)
         values = rng.normal(0.0, 0.7, (2, 5))
-        rep = ThetaRep(1.7, tuple(knots), tuple(tuple(row) for row in values))
+        theta = Theta.from_values(1.7, TimeGrid(knots), values)
         times = (0.4, 1.3, 2.2, 5.9, 0.05, 3.3)
         covs = ((0.2,), (0.9,), (0.5,), (0.0,), (1.0,), (0.77,))
         dataset = SurvivalDataset(
@@ -224,7 +213,7 @@ class TestLogLikelihood:
                 lambda s: expit(link(s)), 0.0, t, points=inner, epsabs=0.0, epsrel=1e-13
             )
             direct += math.log(1.7) + math.log(expit(link(t))) - 1.7 * integral
-        assert_allclose(log_likelihood(rep, dataset), direct, rtol=0.0, atol=1e-10)
+        assert_allclose(log_likelihood(theta, dataset), direct, rtol=0.0, atol=1e-10)
 
     def test_shared_row_matches_zero_covariate(self):
         # d = 0 integrates one link row shared by all records; d = 1 with
@@ -238,10 +227,10 @@ class TestLogLikelihood:
             q_descriptor={},
             horizon=base.horizon,
         )
-        knots = tuple(np.linspace(0.0, 8.0, 9))
+        grid = TimeGrid(tuple(np.linspace(0.0, 8.0, 9)))
         row = tuple(np.random.default_rng(4).normal(0.0, 1.0, 9))
-        shared = log_likelihood(ThetaRep(1.3, knots, (row,)), base)
-        per_row = log_likelihood(ThetaRep(1.3, knots, (row, (0.0,) * 9)), lifted)
+        shared = log_likelihood(Theta.from_values(1.3, grid, (row,)), base)
+        per_row = log_likelihood(Theta.from_values(1.3, grid, (row, (0.0,) * 9)), lifted)
         assert_allclose(shared, per_row, rtol=1e-14)
 
     def test_rejects_empty_dataset(self):
@@ -249,28 +238,28 @@ class TestLogLikelihood:
             times=(), covariates=(), design="RD", q_descriptor={}, horizon=10.0
         )
         with pytest.raises(DomainError, match="empty"):
-            log_likelihood(flat_rep(2.0), empty)
+            log_likelihood(flat_theta(2.0), empty)
 
     def test_rejects_d_mismatch(self):
-        rep = ThetaRep(1.0, (0.0, 10.0), ((0.0, 0.0), (0.0, 0.0)))
+        theta = Theta.from_values(1.0, TimeGrid((0.0, 10.0)), ((0.0, 0.0), (0.0, 0.0)))
         with pytest.raises(DomainError, match="d=1"):
-            log_likelihood(rep, single_record(1.0))
+            log_likelihood(theta, single_record(1.0))
 
     def test_rejects_dataset_past_horizon(self):
-        rep = ThetaRep(1.0, (0.0, 20.0), ((0.0, 0.0),))
+        theta = flat_theta(1.0, 20.0)
         for horizon in (25.0, math.nan):
             far = SurvivalDataset(
                 times=(1.0,), covariates=((),), design="RD", q_descriptor={}, horizon=horizon
             )
             with pytest.raises(DomainError, match="exceeds the representation horizon|exceeds representation horizon"):
-                log_likelihood(rep, far)
+                log_likelihood(theta, far)
         for t in (21.0, -0.5, math.nan):
             with pytest.raises(DomainError, match="record time"):
-                log_likelihood(rep, single_record(t))
+                log_likelihood(theta, single_record(t))
 
     def test_overflow_names_the_record(self):
         # omega * integral overflows for the second record only
-        huge = flat_rep(1e308)
+        huge = flat_theta(1e308)
         dataset = SurvivalDataset(
             times=(1.0, 4.0),
             covariates=((), ()),
@@ -343,7 +332,9 @@ class TestBitIdentityPins:
         prior = ModelPrior((se3(),) * (d + 1), OmegaPrior(2.0, 1.0))
         cfg = McmcConfig(120, 20, 10, 0.3, 60 + d)
         run = mcmc_run(dataset, prior, cfg, tuple(np.linspace(0.0, 8.0, 5)))
-        ends = tuple((draw.omega, draw.values) for draw in (run.draws[0], run.draws[-1]))
+        ends = tuple(
+            (draw.omega, tuple(p.values for p in draw.paths)) for draw in (run.draws[0], run.draws[-1])
+        )
         assert ends == self.CHAINS[d]
 
 
@@ -352,7 +343,7 @@ class TestLogPosterior:
         rng = np.random.default_rng(5)
         knots = np.linspace(0.0, 6.0, 5)
         values = tuple(tuple(rng.normal(0.0, 0.7, 5)) for _ in range(2))
-        rep = ThetaRep(1.7, tuple(knots), values)
+        theta = Theta.from_values(1.7, TimeGrid(knots), values)
         dataset = SurvivalDataset(
             times=(0.4, 1.3, 2.2),
             covariates=((0.2,), (0.9,), (0.5,)),
@@ -364,7 +355,7 @@ class TestLogPosterior:
             (StationaryKernel.ou(lengthscale=2.0), StationaryKernel.se(lengthscale=1.5)),
             OmegaPrior(2.0, 1.0),
         )
-        manual = log_likelihood(rep, dataset)
+        manual = log_likelihood(theta, dataset)
         for row, kernel in zip(values, prior.kernels):
             cov = kernel(np.abs(knots[:, None] - knots[None, :]))
             cov = cov + JITTER_FACTOR * kernel.kappa0 * np.eye(knots.size)
@@ -372,31 +363,31 @@ class TestLogPosterior:
                 np.asarray(row)
             )
         manual += gamma_dist.logpdf(1.7, a=2.0, scale=1.0)
-        assert_allclose(log_posterior(rep, dataset, prior), manual, rtol=1e-10)
+        assert_allclose(log_posterior(theta, dataset, prior), manual, rtol=1e-10)
 
     def test_rejects_kernel_count_mismatch(self):
-        rep = ThetaRep(1.0, (0.0, 10.0), ((0.0, 0.0), (0.0, 0.0)))
+        theta = Theta.from_values(1.0, TimeGrid((0.0, 10.0)), ((0.0, 0.0), (0.0, 0.0)))
         dataset = SurvivalDataset(
             times=(1.0,), covariates=((0.5,),), design="RD", q_descriptor={}, horizon=10.0
         )
         prior = ModelPrior((se3(),), OmegaPrior(2.0, 1.0))
         with pytest.raises(DomainError, match="need 2"):
-            log_posterior(rep, dataset, prior)
+            log_posterior(theta, dataset, prior)
 
     def test_truth_scores_above_prior_draws(self):
         # the generating parameter should out-score nearly every draw
         # from a diffuse prior on a few hundred records
         theta0 = Theta.constant(2.0, 0, 10.0)
         dataset = generate_dataset(theta0, 300, "RD", UniformQ(0), 10.0, 21)
-        knots = tuple(np.linspace(0.0, 10.0, 4))
-        ll0 = log_likelihood(ThetaRep.from_theta(theta0, knots), dataset)
-        chol, _ = _covariance_cholesky(se3(), np.asarray(knots))
+        grid = TimeGrid(tuple(np.linspace(0.0, 10.0, 4)))
+        ll0 = log_likelihood(theta0, dataset)
+        chol, _ = _covariance_cholesky(se3(), grid.as_array())
         rng = np.random.default_rng(33)
         beats = 0
         for _ in range(40):
             omega = float(rng.gamma(2.0, 1.0)) + 1e-9
             row = tuple(chol @ rng.standard_normal(4))
-            beats += ll0 > log_likelihood(ThetaRep(omega, knots, (row,)), dataset)
+            beats += ll0 > log_likelihood(Theta.from_values(omega, grid, (row,)), dataset)
         assert beats >= 38
 
 
@@ -456,15 +447,17 @@ class TestMcmcRun:
         assert len(a.draws) == len(b.draws) > 0
         for x, y in zip(a.draws, b.draws):
             assert x.omega == y.omega
-            assert x.values == y.values
+            assert tuple(p.values for p in x.paths) == tuple(p.values for p in y.paths)
 
     def test_draw_count(self):
         dataset = self.small_dataset()
         prior = ModelPrior((se3(),), OmegaPrior(2.0, 1.0))
         cfg = McmcConfig(50, 10, 5, 0.4, 1)
         run = mcmc_run(dataset, prior, cfg, tuple(np.linspace(0.0, 8.0, 5)))
-        # draws at iterations 10, 15, ..., 45
+        # draws at iterations 10, 15, ..., 45, all on one grid of the knots
         assert len(run.draws) == 8
+        assert run.draws[0].grid.points == run.knots
+        assert all(draw.grid is run.draws[0].grid for draw in run.draws)
 
     def test_prior_only_recovers_prior(self):
         # with the likelihood dropped the draws must reproduce the gamma
@@ -480,7 +473,7 @@ class TestMcmcRun:
         mean, var = omegas.mean(), omegas.var()
         assert_allclose(mean * mean / var, 3.0, rtol=0.05)
         assert_allclose(mean / var, 1.5, rtol=0.05)
-        rows = np.array([d.values[0] for d in run.draws])
+        rows = np.array([d.paths[0].values for d in run.draws])
         assert np.all(np.abs(rows.mean(axis=0)) < 0.05)
         assert_allclose(rows.var(axis=0), se3().kappa0, rtol=0.06)
         assert run.warnings == ()
@@ -509,7 +502,9 @@ class TestMcmcRun:
         assert run.acceptance_omega == 1.0
         lik = _Likelihood(dataset, knots)
         omegas = np.array([draw.omega for draw in run.draws])
-        rates = np.array([1.0 + lik.parts(draw.values)[1] for draw in run.draws])
+        rates = np.array(
+            [1.0 + lik.parts(tuple(p.values for p in draw.paths))[1] for draw in run.draws]
+        )
         u = gamma_dist.cdf(omegas, 2.0 + 300, scale=1.0 / rates)
         assert len(u) == 1000
         assert kstest(u, "uniform").pvalue > 0.01
@@ -527,7 +522,7 @@ class TestMcmcRun:
         run = mcmc_run(dataset, prior, cfg, tuple(np.linspace(0.0, 20.0, 6)))
         point = Covariate((0.5,))
         hazards = np.array(
-            [HazardCurve(d.to_theta(), point).hazard_at(1.0) for d in run.draws]
+            [HazardCurve(d, point).hazard_at(1.0) for d in run.draws]
         )
         assert 0.8 < hazards.mean() < 1.2
 
@@ -565,25 +560,21 @@ class TestPosteriorOutsideMass:
         self.theta0 = Theta.constant(2.0, 0, 10.0)
         self.doubled = Theta.constant(4.0, 0, 10.0)
         self.grid = GridSpec.regular(10.0, 33, 0)
-        self.knots = tuple(np.linspace(0.0, 10.0, 4))
 
     def test_zero_when_at_truth(self):
-        draws = [ThetaRep.from_theta(self.theta0, self.knots)]
+        draws = [self.theta0]
         mass = posterior_outside_mass(draws, self.theta0, 0.2, "RD", UniformQ(0), self.grid)
         assert mass == 0.0
 
     def test_one_when_far(self):
         # doubling the scale moves the survival metric by about 1/4,
         # past an epsilon of 0.2
-        draws = [ThetaRep.from_theta(self.doubled, self.knots)]
+        draws = [self.doubled]
         mass = posterior_outside_mass(draws, self.theta0, 0.2, "RD", UniformQ(0), self.grid)
         assert mass == 1.0
 
     def test_mixed(self):
-        draws = [
-            ThetaRep.from_theta(self.theta0, self.knots),
-            ThetaRep.from_theta(self.doubled, self.knots),
-        ]
+        draws = [self.theta0, self.doubled]
         mass = posterior_outside_mass(draws, self.theta0, 0.2, "RD", UniformQ(0), self.grid)
         assert mass == 0.5
 
@@ -599,7 +590,7 @@ class TestPosteriorOutsideMass:
         assert len(run.draws) == 10
         grid = GridSpec.regular(4.0, 6, d, covariate_knots=4)
         atoms = q_atoms_from_law(UniformQ(d), cells_per_axis=4)
-        dist = np.array([brute_metric(rep.to_theta(), theta0, "RD", atoms, grid) for rep in run.draws])
+        dist = np.array([brute_metric(draw, theta0, "RD", atoms, grid) for draw in run.draws])
         cuts = np.sort(dist)
         for epsilon in 0.5 * (cuts[:-1] + cuts[1:]):
             mass = posterior_outside_mass(run.draws, theta0, epsilon, "RD", atoms, grid)
@@ -610,7 +601,7 @@ class TestPosteriorOutsideMass:
             posterior_outside_mass([], self.theta0, 0.2, "RD", UniformQ(0), self.grid)
 
     def test_rejects_bad_epsilon(self):
-        draws = [ThetaRep.from_theta(self.theta0, self.knots)]
+        draws = [self.theta0]
         for epsilon in (0.0, -0.1, math.nan):
             with pytest.raises(DomainError, match="epsilon"):
                 posterior_outside_mass(draws, self.theta0, epsilon, "RD", UniformQ(0), self.grid)
@@ -653,6 +644,8 @@ class TestExperimentSpec:
             dict(knots=(0.0, 4.0)),
             dict(knots=()),
             dict(knots=(0.0,)),
+            dict(knots=(1.0, 4.0, 8.0)),
+            dict(knots=(0.0, 8.0, 8.0)),
         ],
     )
     def test_rejects(self, overrides):

@@ -143,9 +143,10 @@ class TestBSetParams:
         with pytest.raises(DomainError):
             BSetParams(delta=0.1, tau=0.99, d=0)
 
-    def test_rejects_negative_d(self):
-        with pytest.raises(DomainError):
-            BSetParams(delta=0.1, tau=2.0, d=-1)
+    @pytest.mark.parametrize("d", [-1, math.nan, True, 1.5], ids=["negative", "nan", "bool", "fraction"])
+    def test_rejects_bad_d(self, d):
+        with pytest.raises(DomainError, match="d must be"):
+            BSetParams(delta=0.1, tau=2.0, d=d)
 
 
 class TestUpsilon:
