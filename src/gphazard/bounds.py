@@ -435,6 +435,7 @@ class BoundReport:
     ci: float
     verdict: str
     jitter: float  # Cholesky jitter of the comparator's path sampler
+    mc_seconds: float  # wall time of the comparator's Monte Carlo block loop
 
     def as_record(self) -> dict:
         return {
@@ -444,12 +445,13 @@ class BoundReport:
             "ci": self.ci,
             "verdict": self.verdict,
             "jitter": self.jitter,
+            "mc_seconds": self.mc_seconds,
         }
 
 
 def _report(lemma_id: str, analytic_value: float, rep, ok: bool) -> BoundReport:
     return BoundReport(lemma_id, analytic_value, rep.p_joint, rep.ci_halfwidth,
-                       "pass" if ok else "fail", rep.jitter)
+                       "pass" if ok else "fail", rep.jitter, rep.seconds)
 
 
 def compare_tail_bound(

@@ -2,20 +2,26 @@
 
 Paths are sampled exactly on a finite grid from the Cholesky factor of
 the kernel's covariance matrix, cached per (kernel, grid).  Batches of
-paths come from one block loop that multiplies each block of normals in
-place by the triangular factor.  The loop works on a copy of the factor
-whose subnormal entries are zero, which spares the multiply the slow
-subnormal path on long grids and leaves every path bit-identical: each
-dropped term is far below half an ulp of the row sum it enters.  The
-module also provides the decaying weight h_d used to damp paths at large
-times, the dyadic chaining upper bound for the sup of a path, and Monte
-Carlo estimates of sup-functional event probabilities with binomial
+paths come from one block loop over two small buffers: the calling
+thread draws block k + 1 of normals from one Philox stream while a
+worker thread multiplies block k in place by the triangular factor and
+reduces it.  The draws release the interpreter lock and scipy's `dtrmm`
+holds it, so the caller draws and the worker multiplies; on one CPU the
+same steps run in turn.  The loop works on a copy of the factor whose
+subnormal entries are zero, which spares the multiply the slow subnormal
+path on long grids and leaves every path bit-identical: each dropped
+term is far below half an ulp of the row sum it enters.  The module also
+provides the decaying weight h_d used to damp paths at large times, the
+dyadic chaining upper bound for the sup of a path, and Monte Carlo
+estimates of sup-functional event probabilities with binomial
 confidence intervals.
 """
 
 from __future__ import annotations
 
 import functools
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +38,10 @@ JITTER_ESCALATIONS = 3
 MC_MIN_REPS = 100
 CI_Z = 1.96  # normal quantile for the reported ~95% half-width
 
-# Keep Monte Carlo chunks near this many scalars to bound memory.
-_CHUNK_SCALARS = 4_000_000
+# Rows per Monte Carlo block: about this many scalars (2 MiB).  Small
+# blocks keep the draws and the multiply, which run side by side, from
+# contending for memory bandwidth.
+_CHUNK_SCALARS = 250_000
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,8 @@ class TimeGrid:
             raise DomainError("grid needs at least one point")
         if pts[0] != 0.0:
             raise DomainError("grid must start at t = 0")
+        if not np.all(np.isfinite(pts)):
+            raise DomainError(f"grid points must be finite, got {self.points}")
         if pts.size > 1 and not np.all(np.diff(pts) > 0):
             raise DomainError("grid points must be strictly increasing")
         object.__setattr__(self, "points", tuple(float(p) for p in pts))
@@ -69,14 +79,15 @@ class DyadicGrid(TimeGrid):
     points: tuple = field(default=())
 
     def __init__(self, tau: float, level: int):
-        if not tau > 0:
-            raise DomainError(f"tau must be positive, got {tau}")
-        if level < 0:
-            raise DomainError(f"level must be >= 0, got {level}")
+        if not (np.isfinite(tau) and tau > 0):
+            raise DomainError(f"tau must be positive and finite, got {tau}")
+        if isinstance(level, bool) or not isinstance(level, (int, np.integer)) or level < 0:
+            raise DomainError(f"level must be >= 0 and an integer, got {level!r}")
         pts = tuple(float(p) for p in np.linspace(0.0, tau, 2 ** level + 1))
         object.__setattr__(self, "tau_", float(tau))
         object.__setattr__(self, "level", int(level))
         object.__setattr__(self, "points", pts)
+        self.__post_init__()
 
 
 @dataclass(frozen=True)
@@ -180,28 +191,51 @@ def sample_path(kernel: StationaryKernel, grid: TimeGrid, seed: int) -> GpPath:
     return GpPath(grid=grid, values=tuple(chol @ z), kernel_id=kernel.describe())
 
 
-def _path_blocks(factor: np.ndarray, reps: int, seed: int):
-    """Yield `reps` rows z @ factor.T in blocks, each overwritten by the next.
+def _path_blocks(factor: np.ndarray, reps: int, seed: int, each):
+    """Yield each(rows) for `reps` rows z @ factor.T, block by block, in order.
 
-    z is drawn in order from a Philox stream keyed by the seed.  The
-    multiply uses a Fortran-ordered copy of the factor whose subnormal
+    z is drawn in order from a Philox stream keyed by the seed, into two
+    buffers of about _CHUNK_SCALARS scalars taken in turn.  While the
+    calling thread draws block k + 1 into one buffer, one worker thread
+    overwrites block k in the other with its product and applies `each`
+    to it; `each` must not keep the rows, which the draw of block k + 2
+    overwrites.  The roles go this way round because numpy releases the
+    interpreter lock while it fills a buffer with normals and scipy's
+    `dtrmm` wrapper holds it.  On one CPU the same steps run in turn, so
+    the rows do not depend on the overlap.  The worker is joined before
+    the generator returns, also when it is closed early or `each` raises.
+
+    The multiply uses a Fortran-ordered copy of the factor whose subnormal
     entries are set to zero: on long grids the factor's entries decay with
     the kernel and underflow, and each product with a subnormal operand
     takes a slow path on x86.  The rows are bit-identical to those of the
     unflushed factor: a dropped term L_ij z_j is below 1e-306, which is
     under half an ulp of any partial row sum above 1e-290, and the row sums
-    are of the size of their diagonal terms, far above that.
+    are of the size of their diagonal terms, far above that.  The block
+    size is not free in the same way: OpenBLAS sums the last rows of a
+    block on another path, so changing _CHUNK_SCALARS moves rows within
+    about a dozen rows of a block end by rounding, at most about 3e-15 on
+    paths of size up to 8.
     """
     chunk = min(reps, max(1, _CHUNK_SCALARS // len(factor)))
     lower = np.array(factor, order="F")
     lower[np.abs(lower) < np.finfo(float).tiny] = 0.0
-    buf = np.empty((chunk, len(factor)))
+    bufs = np.empty((2, chunk, len(factor)))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    for done in range(0, reps, chunk):
-        z = buf[: min(chunk, reps - done)]
-        rng.standard_normal(out=z)
+
+    def product(z):
         # z.T is Fortran-ordered: dtrmm overwrites it with lower @ z.T
-        yield dtrmm(1.0, lower, z.T, side=0, lower=1, overwrite_b=1).T
+        return each(dtrmm(1.0, lower, z.T, side=0, lower=1, overwrite_b=1).T)
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None
+        for k, done in enumerate(range(0, reps, chunk)):
+            z = bufs[k % 2, : min(chunk, reps - done)]
+            rng.standard_normal(out=z)  # the buffer's last block, k - 2, was collected
+            previous, pending = pending, worker.submit(product, z)
+            if previous is not None:
+                yield previous.result()
+        yield pending.result()
 
 
 def sample_path_matrix(
@@ -218,9 +252,14 @@ def sample_path_matrix(
     chol, _ = _covariance_cholesky(kernel, grid.points)
     out = np.empty((reps, len(grid.points)))
     done = 0
-    for block in _path_blocks(chol, reps, seed):
+
+    def write(block):  # blocks arrive in order on one worker thread
+        nonlocal done
         out[done : done + len(block)] = block
         done += len(block)
+
+    for _ in _path_blocks(chol, reps, seed, write):
+        pass
     return out
 
 
@@ -288,6 +327,7 @@ class EventProbReport:
     weighted: bool
     constraints: tuple
     jitter: float
+    seconds: float  # wall time of the Monte Carlo block loop
 
     def as_record(self) -> dict:
         rec = {
@@ -296,6 +336,7 @@ class EventProbReport:
             "reps": self.reps,
             "weighted": self.weighted,
             "jitter": self.jitter,
+            "seconds": self.seconds,
         }
         for i, (c, p) in enumerate(zip(self.constraints, self.p_marginals)):
             rec[f"constraint_{i}"] = c
@@ -340,17 +381,22 @@ def mc_event_probability(
     # h_d * (L z) = (diag(h_d) L) z, so the weight is folded into the factor once
     factor = h_weight(d, points)[:, None] * chol if weighted else chol
 
-    joint_hits = 0
-    marginal_hits = np.zeros(len(constraints), dtype=np.int64)
-    for paths in _path_blocks(factor, reps, seed):
+    def count(paths):
+        """[joint hits, hits of each constraint] in one block."""
         joint = np.ones(len(paths), dtype=bool)
-        for i, (c, span) in enumerate(zip(constraints, spans)):
+        hits = np.empty(len(constraints) + 1, dtype=np.int64)
+        for i, (c, span) in enumerate(zip(constraints, spans), start=1):
             view = paths[:, span]
             sup = np.maximum(view.max(axis=1), -view.min(axis=1))
             ind = sup <= c.threshold if c.sense == "le" else sup >= c.threshold
-            marginal_hits[i] += int(ind.sum())
+            hits[i] = ind.sum()
             joint &= ind
-        joint_hits += int(joint.sum())
+        hits[0] = joint.sum()
+        return hits
+
+    start = time.perf_counter()
+    joint_hits, *marginal_hits = sum(_path_blocks(factor, reps, seed, count)).tolist()
+    seconds = time.perf_counter() - start
 
     p_joint = joint_hits / reps
     ci = CI_Z * float(np.sqrt(p_joint * (1.0 - p_joint) / reps))
@@ -362,4 +408,5 @@ def mc_event_probability(
         weighted=weighted,
         constraints=tuple(c.describe() for c in constraints),
         jitter=jitter,
+        seconds=seconds,
     )

@@ -1,11 +1,24 @@
 """Shared test helpers."""
 
+import threading
+
 import numpy as np
+import pytest
 
 from gphazard.gp_paths import DyadicGrid, sample_path
 from gphazard.hazard import Theta
 from gphazard.kernels import StationaryKernel
 from gphazard.vc import Rectangle, measure_mu
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves running a thread it did not find at its start."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    if leaked:
+        pytest.fail(f"threads left running: {leaked}")
 
 
 def random_theta0(d, seed, omega0=2.0, horizon=24.0, scale=0.3):

@@ -351,7 +351,7 @@ class TestComparators:
         assert hits == [(0, (0,)), (35, (35,)), (15471, (15471,)), (1851, (1851, 20000))]
 
     def test_report_record(self):
-        rep = BoundReport("tail_series", 0.5, 0.4, 0.01, "pass", 1e-10)
+        rep = BoundReport("tail_series", 0.5, 0.4, 0.01, "pass", 1e-10, 0.25)
         rec = json.loads(json.dumps(rep.as_record()))
         assert rec == {
             "lemma_id": "tail_series",
@@ -360,4 +360,5 @@ class TestComparators:
             "ci": 0.01,
             "verdict": "pass",
             "jitter": 1e-10,
+            "mc_seconds": 0.25,
         }

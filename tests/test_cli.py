@@ -347,9 +347,10 @@ class TestRun:
         assert lines[0] == "lemma_id,analytic_value,mc_estimate,ci_halfwidth,verdict"
         assert len(lines) == 5
         assert all(line.endswith("pass") for line in lines[1:])
-        report = json.loads((dirs[0] / "report.json").read_text())
+        report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject_constant)
         ids = [r["lemma_id"] for r in report["reports"]]
         assert ids == ["tail_series", "small_ball", "small_ball", "centred_event"]
+        assert all(r["mc_seconds"] > 0 for r in report["reports"])
 
     def test_verify_bounds_pinned_with_jitter(self, tmp_path):
         # default reps and level; estimates recorded with the dense-product sampler

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +32,25 @@ from gphazard.kernels import StationaryKernel
 H0_AT_1 = 1.8473195743340918   # 1/(1 + ln(1 - e^-1))
 H0_AT_2 = 0.5392037401775174   # 1/(2 + ln(1 - e^-2))
 
+# (horizon, weighted) of the level-9 grids whose SE factors hold subnormals
+LONG_GRIDS = [
+    (tau_star(0, 1.0) + 40.0, True),   # compare_tail_bound's grid at the CLI defaults
+    (140.0, True),                     # compare_centred_event's grid
+    (140.0, False),                    # the cached factor itself
+]
+
+
+def serial_blocks(factor, reps, seed):
+    """Rows z @ factor.T of the block loop's split, multiplied one block after another here."""
+    n = len(factor)
+    chunk = gp_paths._CHUNK_SCALARS // n
+    z = np.random.Generator(np.random.Philox(key=seed)).standard_normal((reps, n))
+    return np.concatenate([
+        dtrmm(1.0, np.asfortranarray(factor), np.array(z[s:s + chunk].T, order="F"),
+              side=0, lower=1).T
+        for s in range(0, reps, chunk)
+    ])
+
 
 class TestGrids:
     def test_dyadic_grid_shape(self):
@@ -51,6 +73,27 @@ class TestGrids:
         with pytest.raises(DomainError):
             TimeGrid((0.0, 1.0, 1.0))
         assert TimeGrid((0.0,)).tau == 0.0
+
+    @pytest.mark.parametrize("build, named", [
+        (lambda: TimeGrid((0.0, 4.0, math.inf)), r"\(0\.0, 4\.0, inf\)"),
+        (lambda: TimeGrid((0.0, math.nan)), r"\(0\.0, nan\)"),
+        (lambda: TimeGrid((0.0, 1.0, -math.inf)), r"\(0\.0, 1\.0, -inf\)"),
+        (lambda: DyadicGrid(math.inf, 3), "got inf"),
+        (lambda: DyadicGrid(math.nan, 3), "got nan"),
+        (lambda: DyadicGrid(-1.0, 3), "got -1.0"),
+        (lambda: DyadicGrid(1.0, 2.5), "got 2.5"),
+        (lambda: DyadicGrid(1.0, True), "got True"),
+        (lambda: DyadicGrid(1.0, "3"), "got '3'"),
+        (lambda: mc_event_probability(StationaryKernel.se(), 0, False,
+                                      [SupConstraint((0.0, 1.0), 1.0)], math.inf, 3, 100, 0),
+         "got inf"),
+    ], ids=["time-inf", "time-nan", "time-neg-inf", "tau-inf", "tau-nan", "tau-negative",
+            "level-float", "level-bool", "level-str", "mc-horizon-inf"])
+    def test_grids_refuse_non_finite_and_non_integer_input(self, build, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=named):
+                build()
 
 
 class TestSampling:
@@ -128,8 +171,9 @@ class TestSampling:
         ])
 
     def test_matrix_pinned_across_blocks(self):
-        # 513 points: two blocks, rows 0-7796 and 7797-8999; sums over 513
-        # terms are reordered by the triangular multiply, so equal to 1e-12
+        # 513 points: blocks of 487 rows, the last of 234 (rows 8766-8999);
+        # sums over 513 terms are reordered by the triangular multiply, so
+        # equal to 1e-12
         m = sample_path_matrix(StationaryKernel.ou(), DyadicGrid(2.0, 9), reps=9000, seed=4)
         assert_allclose(m[np.ix_([0, 7796, 7797, 8999], [0, 256, 512])], [
             [0.00021832635172935538, 0.08948222383709226, 1.2493776683741113],
@@ -140,11 +184,46 @@ class TestSampling:
         assert_allclose(m.sum(), 6605.531836727064, rtol=1e-12)
 
     def test_blocks_keep_the_philox_stream(self):
-        n, reps = 513, 8000  # two blocks of 7797 and 203 rows
-        blocks = [b.copy() for b in _path_blocks(np.eye(n), reps, seed=8)]
-        assert [len(b) for b in blocks] == [7797, 203]
-        stream = np.random.Generator(np.random.Philox(key=8)).standard_normal((reps, n))
-        assert np.array_equal(np.concatenate(blocks), stream)
+        n = 513
+        chunk = gp_paths._CHUNK_SCALARS // n
+        # one block, an exact multiple of the block size, and a short tail;
+        # frequent thread switches would expose a buffer reused too early
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for whole, tail in ((1, 0), (3, 0), (2, 17)):
+                reps = whole * chunk + tail
+                got = list(_path_blocks(np.eye(n), reps, 8, np.copy))
+                assert [len(b) for b in got] == [chunk] * whole + [tail] * bool(tail)
+                stream = np.random.Generator(np.random.Philox(key=8)).standard_normal((reps, n))
+                assert np.array_equal(np.concatenate(got), stream)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_thread_is_joined(self):
+        before = threading.active_count()
+        factor, reps = np.eye(50), 3 * (gp_paths._CHUNK_SCALARS // 50)
+        threads = set()
+
+        def record(rows):
+            threads.add(threading.get_ident())
+            return len(rows)
+
+        assert sum(_path_blocks(factor, reps, 1, record)) == reps
+        assert threads and threading.get_ident() not in threads
+        assert threading.active_count() == before
+
+        early = _path_blocks(factor, reps, 1, len)
+        next(early)
+        early.close()
+        assert threading.active_count() == before
+
+        def fail(rows):
+            raise ValueError("from each")
+
+        with pytest.raises(ValueError, match="from each"):
+            list(_path_blocks(factor, reps, 1, fail))
+        assert threading.active_count() == before
 
     def test_path_refuses_extrapolation(self):
         path = sample_path(StationaryKernel.se(), DyadicGrid(1.0, 2), seed=0)
@@ -316,11 +395,7 @@ class TestFactorCache:
         info = _grid_factor.cache_info()
         assert (info.currsize, info.hits, info.misses) == (0, 0, 2)
 
-    @pytest.mark.parametrize("horizon, weighted", [
-        (tau_star(0, 1.0) + 40.0, True),   # compare_tail_bound's grid at the CLI defaults
-        (140.0, True),                     # compare_centred_event's grid
-        (140.0, False),                    # the cached factor itself
-    ])
+    @pytest.mark.parametrize("horizon, weighted", LONG_GRIDS)
     def test_flushed_blocks_equal_unflushed_product(self, horizon, weighted):
         # The block loop zeroes the subnormal entries of its copy of the
         # factor; the rows must equal the product with the factor as given.
@@ -329,19 +404,24 @@ class TestFactorCache:
         cached = chol.copy()
         factor = h_weight(0, points)[:, None] * chol if weighted else chol
         assert np.count_nonzero((factor != 0) & (np.abs(factor) < np.finfo(float).tiny)) > 500
-        reps = 8000  # two blocks
-        blocks = np.concatenate([b.copy() for b in _path_blocks(factor, reps, seed=3)])
-        z = np.random.Generator(np.random.Philox(key=3)).standard_normal((reps, len(points)))
-        chunk = gp_paths._CHUNK_SCALARS // len(points)
-        want = np.concatenate([
-            dtrmm(1.0, np.asfortranarray(factor), np.array(z[s:s + chunk].T, order="F"),
-                  side=0, lower=1).T
-            for s in range(0, reps, chunk)
-        ])
-        assert np.array_equal(blocks, want)
+        reps = 8000  # 16 blocks of 487 rows and a tail of 208
+        blocks = np.concatenate(list(_path_blocks(factor, reps, 3, np.copy)))
+        assert np.array_equal(blocks, serial_blocks(factor, reps, 3))
         assert np.array_equal(chol, cached)
         assert not chol.flags.writeable
         assert _covariance_cholesky(StationaryKernel.se(), points)[0] is chol
+
+    @pytest.mark.parametrize("horizon, weighted", LONG_GRIDS)
+    def test_pipelined_blocks_equal_serial_loop(self, horizon, weighted):
+        # The worker thread multiplies what the caller drew: same stream,
+        # same block split and the same flushed factor as a serial loop.
+        points = DyadicGrid(horizon, 9).as_array()
+        chol, _ = _covariance_cholesky(StationaryKernel.se(), points)
+        factor = h_weight(0, points)[:, None] * chol if weighted else chol
+        flushed = np.where(np.abs(factor) < np.finfo(float).tiny, 0.0, factor)
+        reps = 8000
+        blocks = np.concatenate(list(_path_blocks(factor, reps, 3, np.copy)))
+        assert np.array_equal(blocks, serial_blocks(flushed, reps, 3))
 
     def test_report_carries_escalated_jitter(self):
         # covariance 1 + 5e-10 off the diagonal: 1e-10 of jitter is too little

@@ -8,6 +8,7 @@ small ladder.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -532,6 +533,14 @@ class TestMcmcRun:
         with pytest.raises(DomainError, match="knots"):
             mcmc_run(self.small_dataset(), prior, cfg, (1.0, 2.0))
 
+    def test_rejects_infinite_knot(self):
+        prior = ModelPrior((se3(),), OmegaPrior(2.0, 1.0))
+        cfg = McmcConfig(10, 2, 1, 0.4, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"knots.*\(0\.0, 4\.0, inf\)"):
+                mcmc_run(self.small_dataset(), prior, cfg, (0.0, 4.0, math.inf))
+
     def test_rejects_missing_dataset(self):
         prior = ModelPrior((se3(),), OmegaPrior(2.0, 1.0))
         cfg = McmcConfig(10, 2, 1, 0.4, 0)
@@ -651,6 +660,12 @@ class TestExperimentSpec:
     def test_rejects(self, overrides):
         with pytest.raises(DomainError):
             small_spec(**overrides)
+
+    def test_rejects_infinite_knot(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"knots.*\(0\.0, 4\.0, inf\)"):
+                small_spec(knots=(0.0, 4.0, math.inf))
 
 
 class TestConsistencyExperiment:
