@@ -227,16 +227,17 @@ def _locate(knots, t):
     return cell, t - knots[cell]
 
 
-def _link_integral(knots, y, cell, width):
+def _link_integral(knots, y, at, width):
     """Y(t), softplus(Y(t)) and the integral of sigmoid(Y) over [0, t].
 
     y holds link rows at the knots, shape (m, K), and Y is their linear
-    interpolant.  The times t come located, as the cell and width from
-    _locate, which broadcast against (m, 1): law locates its shared times
-    once per call, the likelihood its record times once per dataset.  Y is
-    linear on each knot cell, so each integral is exact: the whole cells
-    are summed once per row, and each t adds only its partial cell, at the
-    cost of one softplus.
+    interpolant.  The times t come located, as a flat index at = i K + c
+    into the (m, K) table, for row i and the knot cell c of _locate, and
+    the width into that cell; the outputs take the shape of at.  law
+    builds its index once per call, the likelihood once per dataset.  Y
+    is linear on each knot cell, so each integral is exact: the whole
+    cells are summed once per row, and each t adds only its partial cell,
+    at the cost of one softplus.
     """
     m, k = y.shape
     # The rows laid end to end, plus a pad, so that every pass below runs
@@ -259,8 +260,6 @@ def _link_integral(knots, y, cell, width):
     cum[:, 0] = 0.0
     cum.cumsum(axis=1, out=cum)
     slope = (ends[1:] - ends[:-1]).reshape(m, k) / span
-    # one flat index into the tables serves every gather
-    at = cell if m == 1 else np.arange(0, m * k, k)[:, None] + cell
     y0 = y.take(at)
     y_t = y0 + width * slope.take(at)
     tail_t = _softplus_tail(y_t)
@@ -294,14 +293,31 @@ def law(theta: Theta, xs, ts) -> tuple:
     covariate row and shared time, each shape (len(xs), len(ts)).
 
     Every object of the model is read from these: S = exp(-Lambda) and
-    log f = log omega + log sigmoid(Y) - Lambda.  One _link_integral call
-    on the rows' links at the knots; the times must lie in [0, horizon].
+    log f = log omega + log sigmoid(Y) - Lambda.  The one-parameter case
+    of _laws; the times must lie in [0, horizon].
     """
-    ts = _check_times(theta, ts)
-    knots = theta.grid.as_array()
+    return _laws((theta,), xs, ts)
+
+
+def _laws(thetas, xs, ts) -> tuple:
+    """law for parameters on one grid, in one _link_integral call on the
+    links of every (parameter, covariate row) pair at the knots.
+
+    Each output stacks one (len(xs), len(ts)) block per parameter, in the
+    order of thetas; the caller checks that their grids agree.
+    """
+    head = thetas[0]
+    ts = _check_times(head, ts)
+    knots = head.grid.as_array()
+    rows = [_link_rows(theta, xs, knots) for theta in thetas]
+    m = len(rows[0])
     cell, width = _locate(knots, ts.reshape(1, -1))
-    y, soft, integral = _link_integral(knots, _link_rows(theta, xs, knots), cell, width)
-    return y, y - soft, theta.omega * integral
+    at = np.arange(0, len(thetas) * m * len(knots), len(knots))[:, None] + cell
+    y, soft, integral = _link_integral(
+        knots, rows[0] if len(rows) == 1 else np.concatenate(rows), at, width
+    )
+    omega = np.repeat([theta.omega for theta in thetas], m)[:, None]
+    return y, y - soft, omega * integral
 
 
 @dataclass(frozen=True)
@@ -500,7 +516,12 @@ class TableQ:
 
 @dataclass(frozen=True)
 class SurvivalDataset:
-    """Observed times and covariates plus the design that produced them."""
+    """Observed times and covariates plus the design that produced them.
+
+    Times must be finite and nonnegative and the horizon finite and
+    positive.  A time may lie past the horizon: ingested data keeps its
+    sidecar's horizon, and the readers check times against their own grids.
+    """
 
     times: tuple
     covariates: tuple       # n rows, each a d-tuple
@@ -513,6 +534,14 @@ class SurvivalDataset:
             raise DomainError(f"design must be 'RD' or 'NRD', got {self.design!r}")
         if len(self.times) != len(self.covariates):
             raise DomainError("times and covariates must have equal length")
+        if not 0 < self.horizon < np.inf:  # NaN fails too
+            raise DomainError(f"horizon must be finite and positive, got {self.horizon!r}")
+        t = self.times_array()
+        bad = np.flatnonzero(~((t >= 0) & (t < np.inf)))  # NaN fails both
+        if bad.size:
+            raise DomainError(
+                f"record {int(bad[0])}: time {float(t[bad[0]])!r} is not finite and nonnegative"
+            )
 
     @property
     def n(self) -> int:

@@ -16,14 +16,17 @@ The consistency experiment generates datasets of growing size from a
 fixed truth, runs the sampler on each, and tracks how much posterior
 mass sits outside a metric ball around the truth.  The decision device
 is a rank correlation across the size ladder; the theory predicts decay
-but no rate, so no rate is asserted.
+but no rate, so no rate is asserted.  Its chains run in lockstep, one
+likelihood call per path move for every chain, each chain bit-identical
+to a lone mcmc_run; so the ladder never calls mcmc_run, and a tracer
+that wraps mcmc_run sees the chain loop in consistency_experiment.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -125,44 +128,66 @@ class McmcConfig:
             raise DomainError("proposal_scale_path must lie in (0, 1]")
 
 
+def _check_records(dataset: SurvivalDataset, horizon: float) -> None:
+    """Refuse a dataset that reaches past the knot horizon; the dataset
+    itself has refused negative and non-finite times."""
+    if not dataset.horizon <= horizon:
+        raise DomainError(
+            f"dataset horizon {dataset.horizon:g} exceeds representation horizon {horizon:g}"
+        )
+    t = dataset.times_array()
+    if t.size and t.max() > horizon:
+        raise DomainError(f"a record time lies outside [0, {horizon:g}]")
+
+
 class _Likelihood:
-    """Per-dataset workspace for the observed-data log likelihood.
+    """Workspace for the observed-data log likelihood of several datasets.
 
     Each record needs log sigmoid(Y_i(t_i)) and the integral of
     sigmoid(Y_i) over [0, t_i], both exact from hazard._link_integral.
-    The record times are checked and located in their knot cells once
-    per dataset, so an evaluation does no search.  With no covariates
-    every record shares one link row, so its whole knot cells are
-    integrated once per evaluation and each record adds only its partial
-    cell.
+    The records of all datasets are laid end to end, checked, and located
+    in their knot cells once, so one evaluation of every dataset's paths
+    is one _link_integral call with no search, and each dataset's pieces
+    are summed over its own slice.  With no covariates all records of a
+    dataset share one link row, so its whole knot cells are integrated
+    once per evaluation and each record adds only its partial cell.
     """
 
-    def __init__(self, dataset: SurvivalDataset, knots):
+    def __init__(self, datasets, knots):
         kn = np.asarray(knots, dtype=float)
-        t = dataset.times_array()
-        horizon = float(kn[-1])
-        if not dataset.horizon <= horizon:  # NaN fails too
-            raise DomainError(
-                f"dataset horizon {dataset.horizon:g} exceeds representation horizon {horizon:g}"
-            )
-        if t.size and not (t.min() >= 0.0 and t.max() <= horizon):  # NaN fails too
-            raise DomainError(f"a record time lies outside [0, {horizon:g}]")
+        for dataset in datasets:
+            _check_records(dataset, float(kn[-1]))
         self.knots = kn
-        self.x = dataset.covariates_array()
-        self.d = dataset.d
-        # the shared row (d = 0) takes the times along its one row
-        self.cell, self.width = _locate(kn, t[None, :] if self.d == 0 else t[:, None])
+        self.d = datasets[0].d
+        sizes = [dataset.n for dataset in datasets]
+        self.ends = np.cumsum([0] + sizes).tolist()
+        self.x = [dataset.covariates_array() for dataset in datasets]
+        cell, self.width = _locate(kn, np.concatenate([ds.times_array() for ds in datasets]))
+        # the link row of each record: its dataset's shared row at d = 0
+        row = np.repeat(np.arange(len(sizes)), sizes) if self.d == 0 else np.arange(cell.size)
+        self.at = row * kn.size + cell
+        self.rows = np.empty((len(sizes) if self.d == 0 else cell.size, kn.size))
 
     def pieces(self, values) -> tuple:
-        """(log link at each record time, integrated link over [0, t_i])."""
-        vals = np.asarray(values, dtype=float)
-        y = vals[:1] if self.d == 0 else vals[0] + self.x @ vals[1:]
-        y_t, softplus_t, lam = _link_integral(self.knots, y, self.cell, self.width)
-        return (y_t - softplus_t).ravel(), lam.ravel()
+        """(log link at each record time, integrated link over [0, t_i]),
+        all records end to end; values holds one path matrix per dataset."""
+        for k, vals in enumerate(values):
+            vals = np.asarray(vals, dtype=float)
+            if self.d == 0:
+                self.rows[k] = vals[0]
+            else:
+                a, b = self.ends[k], self.ends[k + 1]
+                np.add(vals[0], self.x[k] @ vals[1:], out=self.rows[a:b])
+        y_t, softplus_t, lam = _link_integral(self.knots, self.rows, self.at, self.width)
+        return y_t - softplus_t, lam
 
-    def parts(self, values) -> tuple:
+    def parts(self, values) -> list:
+        """(sum of log links, sum of integrated links) for each dataset."""
         logsig, lam = self.pieces(values)
-        return float(logsig.sum()), float(lam.sum())
+        return [
+            (float(logsig[a:b].sum()), float(lam[a:b].sum()))
+            for a, b in zip(self.ends, self.ends[1:])
+        ]
 
     def per_record(self, omega: float, values) -> np.ndarray:
         logsig, lam = self.pieces(values)
@@ -178,7 +203,7 @@ def log_likelihood(theta: Theta, dataset: SurvivalDataset) -> float:
     if dataset.n == 0:
         raise DomainError("dataset is empty")
     values = [p.values for p in theta.paths]
-    per = _Likelihood(dataset, theta.grid.points).per_record(theta.omega, values)
+    per = _Likelihood([dataset], theta.grid.points).per_record(theta.omega, [values])
     bad = np.flatnonzero(~np.isfinite(per))
     if bad.size:
         raise NumericError(f"record {int(bad[0])}: non-finite log-likelihood")
@@ -217,24 +242,22 @@ def _knot_grid(knots) -> TimeGrid:
     return grid
 
 
-def _pcn_step(values, j, chol, beta, omega, parts, current, rng):
-    """One prior-reversible move of path j, accepted on the likelihood ratio.
+def _pcn_proposal(values, j, chol, beta, rng):
+    """A copy of values with path j moved to sqrt(1-beta^2) row + beta noise.
 
-    The proposal sqrt(1-beta^2) row + beta noise leaves the path prior
-    invariant, so the prior density cancels from the acceptance ratio.
-    parts maps a values matrix to its likelihood pieces (s, i), with log
-    likelihood s - omega * i up to terms free of the paths; current is
-    parts(values).  A zero log ratio accepts without drawing a uniform.
-    Returns (values, pieces, accepted); the input matrix is not modified.
+    The move leaves the path prior invariant, so the prior density cancels
+    from the acceptance ratio; the input matrix is not modified.
     """
     prop = values.copy()
     noise = chol @ rng.standard_normal(values.shape[1])
     prop[j] = math.sqrt(1.0 - beta * beta) * values[j] + beta * noise
-    s, i = parts(prop)
-    delta = (s - current[0]) - omega * (i - current[1])
-    if delta >= 0.0 or rng.random() < math.exp(max(delta, -745.0)):
-        return prop, (s, i), True
-    return values, current, False
+    return prop
+
+
+def _accepts(delta: float, rng) -> bool:
+    """Metropolis test of a log ratio; a nonnegative one accepts without
+    drawing a uniform."""
+    return delta >= 0.0 or rng.random() < math.exp(max(delta, -745.0))
 
 
 @dataclass(frozen=True)
@@ -285,56 +308,84 @@ def mcmc_run(
     Path acceptance is measured after burn_in; a rate below 1% or above
     99% is reported as a warning, not an error.
     """
+    return _chains([dataset], prior, config, [config.seed], knots, prior_only)[0]
+
+
+def _chains(datasets, prior: ModelPrior, config: McmcConfig, seeds, knots, prior_only=False) -> list:
+    """One mcmc_run chain per (dataset, seed) pair, advanced in lockstep.
+
+    For each move of path j every chain draws its noise, and then its
+    uniform, from its own generator in the order of a lone chain; all
+    chains' proposals are scored by one _Likelihood evaluation.  So each
+    report is bit-identical to mcmc_run on its dataset with that seed,
+    and a ladder pays the per-call cost of the likelihood once per move,
+    not once per chain.  config.seed is not read.
+    """
     grid = _knot_grid(knots)
     kn = grid.points
     d = len(prior.kernels) - 1
     if prior_only:
-        n, parts = 0, lambda values: (0.0, 0.0)
+        ns = [0] * len(seeds)
+
+        def parts(values):
+            return [(0.0, 0.0)] * len(values)
     else:
-        if dataset is None or dataset.n == 0:
-            raise DomainError("dataset must be nonempty unless prior_only")
-        if dataset.d != d:
-            raise DomainError(f"dataset has d={dataset.d}, prior covers d={d}")
-        n, parts = dataset.n, _Likelihood(dataset, kn).parts
+        for dataset in datasets:
+            if dataset is None or dataset.n == 0:
+                raise DomainError("dataset must be nonempty unless prior_only")
+            if dataset.d != d:
+                raise DomainError(f"dataset has d={dataset.d}, prior covers d={d}")
+        ns = [dataset.n for dataset in datasets]
+        parts = _Likelihood(datasets, kn).parts
 
     chols = [_covariance_cholesky(kernel, kn)[0] for kernel in prior.kernels]
-    rng = np.random.default_rng(config.seed)
-    shape, rate = prior.omega.shape + n, prior.omega.rate
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    beta, rate = config.proposal_scale_path, prior.omega.rate
+    shapes = [prior.omega.shape + n for n in ns]
 
-    omega = prior.omega.mean
-    values = np.vstack([chol @ rng.standard_normal(len(kn)) for chol in chols])
+    omegas = [prior.omega.mean] * len(rngs)
+    values = [np.vstack([chol @ rng.standard_normal(len(kn)) for chol in chols]) for rng in rngs]
     current = parts(values)
-    draws = []
-    accepted = 0
+    draws = [[] for _ in rngs]
+    accepted = [0] * len(rngs)
     for it in range(config.iterations):
+        kept = it >= config.burn_in
         for j, chol in enumerate(chols):
-            values, current, ok = _pcn_step(
-                values, j, chol, config.proposal_scale_path, omega, parts, current, rng
-            )
-            accepted += ok and it >= config.burn_in
-        # at a small prior shape (prior-only runs) the exact draw can fall
-        # below the smallest subnormal and round to 0.0; it is stored as the
-        # smallest normal double, which keeps the law up to representation
-        omega = float(rng.gamma(shape, 1.0 / (rate + current[1]))) or np.finfo(float).tiny
-        if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:
-            draws.append(Theta.from_values(omega, grid, values))
+            props = [_pcn_proposal(v, j, chol, beta, rng) for v, rng in zip(values, rngs)]
+            for c, new in enumerate(parts(props)):
+                delta = (new[0] - current[c][0]) - omegas[c] * (new[1] - current[c][1])
+                if _accepts(delta, rngs[c]):
+                    values[c], current[c] = props[c], new
+                    accepted[c] += kept
+        for c, rng in enumerate(rngs):
+            # at a small prior shape (prior-only runs) the exact draw can fall
+            # below the smallest subnormal and round to 0.0; it is stored as
+            # the smallest normal double, which keeps the law up to
+            # representation
+            omega = rng.gamma(shapes[c], 1.0 / (rate + current[c][1]))
+            omegas[c] = float(omega) or np.finfo(float).tiny
+        if kept and (it - config.burn_in) % config.thinning == 0:
+            for chain, omega, v in zip(draws, omegas, values):
+                chain.append(Theta.from_values(omega, grid, v))
 
-    rate_paths = accepted / ((config.iterations - config.burn_in) * (d + 1))
-    warnings = []
-    if not prior_only:
-        # prior-only path moves accept by construction, nothing to flag
-        if rate_paths < 0.01:
-            warnings.append(f"path acceptance rate {rate_paths:.4f} below 1% after burn-in")
-        elif rate_paths > 0.99:
-            warnings.append(f"path acceptance rate {rate_paths:.4f} above 99% after burn-in")
-
-    return McmcReport(
-        draws=tuple(draws),
-        acceptance_paths=rate_paths,
-        warnings=tuple(warnings),
-        knots=kn,
-        prior_only=prior_only,
-    )
+    reports = []
+    for chain, ok in zip(draws, accepted):
+        rate_paths = ok / ((config.iterations - config.burn_in) * (d + 1))
+        warnings = []
+        if not prior_only:
+            # prior-only path moves accept by construction, nothing to flag
+            if rate_paths < 0.01:
+                warnings.append(f"path acceptance rate {rate_paths:.4f} below 1% after burn-in")
+            elif rate_paths > 0.99:
+                warnings.append(f"path acceptance rate {rate_paths:.4f} above 99% after burn-in")
+        reports.append(McmcReport(
+            draws=tuple(chain),
+            acceptance_paths=rate_paths,
+            warnings=tuple(warnings),
+            knots=kn,
+            prior_only=prior_only,
+        ))
+    return reports
 
 
 def posterior_outside_mass(
@@ -348,10 +399,9 @@ def posterior_outside_mass(
     """Fraction of draws farther than epsilon from theta0 in the sup metric.
 
     draws are Thetas, such as McmcReport.draws.  The atoms and theta0's
-    survival rows are resolved once per call; each draw then costs one
-    survival_matrix call and one box table, the same computation as
-    sup_deviation_metric(draw, theta0, ...), with the same memory bound
-    per table.
+    survival rows are resolved once per call, and the draws are scored in
+    batches by _BoxTable.values: one law call and one box table per batch,
+    each distance equal to sup_deviation_metric(draw, theta0, ...).value.
     """
     draws = tuple(draws)
     if not draws:
@@ -359,8 +409,7 @@ def posterior_outside_mass(
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise DomainError(f"epsilon must be a positive real, got {epsilon}")
     table = _BoxTable(theta0, design, q_grid, grid)
-    outside = sum(table.deviation(theta).value > epsilon for theta in draws)
-    return outside / len(draws)
+    return int(np.count_nonzero(table.values(draws) > epsilon)) / len(draws)
 
 
 @dataclass(frozen=True)
@@ -368,9 +417,9 @@ class ExperimentSpec:
     """Everything one consistency run needs, fixed up front.
 
     Datasets are generated from theta0 at each ladder size, the sampler
-    runs with mcmc (its seed field is replaced per cell), and the
-    outside mass is measured with (design, q, metric_grid) at epsilon.
-    Per-cell streams derive from (seed, n, rep).
+    runs with mcmc (its seed field is not read), and the outside mass is
+    measured with (design, q, metric_grid) at epsilon.  Each cell's data
+    and chain streams derive from (seed, n, rep).
     """
 
     theta0: Theta
@@ -412,6 +461,10 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class CellResult:
+    """One (n, replication) cell.  wall_time is the cell's own generation
+    and scoring time plus the shared chain time (none for a cell that
+    failed at generation, which joins no chain)."""
+
     n: int
     rep: int
     outside_mass: float
@@ -419,6 +472,8 @@ class CellResult:
     wall_time: float
     error: str = ""
     warnings: tuple = ()    # the chain's McmcReport.warnings
+    generate_s: float = 0.0  # dataset generation and its check against the knots
+    score_s: float = 0.0     # posterior_outside_mass
 
 
 @dataclass(frozen=True)
@@ -430,6 +485,7 @@ class ExperimentReport:
     spearman: float
     consistent_trend: bool
     epsilon: float
+    chains_s: float = 0.0    # every cell's chain, run in lockstep
 
     def to_csv(self) -> str:
         lines = ["n,rep,outside_mass,acceptance_paths,wall_time"]
@@ -449,56 +505,89 @@ class ExperimentReport:
                 {"n": c.n, "rep": c.rep, "messages": list(c.warnings)}
                 for c in self.cells if c.warnings
             ],
+            "timings": {
+                "chains_s": self.chains_s,
+                "cells": [
+                    {"n": c.n, "rep": c.rep, "generate_s": c.generate_s, "score_s": c.score_s}
+                    for c in self.cells
+                ],
+            },
         }
 
 
 def consistency_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Outside-mass trend across a ladder of dataset sizes.
 
-    Every (n, replication) cell generates its own dataset, runs its own
-    chain, and records the posterior mass outside the epsilon ball; a
-    cell that raises a package error is recorded with the message and
-    the rest of the grid still runs.  The trend statistic is the
-    Spearman correlation between n and outside mass over successful
-    cells; at or below -0.8 the report declares a consistent trend.
+    Runs in three stages.  Every (n, replication) cell generates its own
+    dataset and checks it against the knots; then all cells' chains run
+    in lockstep, each bit-identical to a lone mcmc_run; then each cell
+    records the posterior mass outside the epsilon ball.  A cell whose
+    generation or scoring raises a package error is recorded with the
+    message and the rest of the grid still runs; an error in the shared
+    chain stage is recorded on every cell that reached it.  The trend
+    statistic is the Spearman correlation between n and outside mass over
+    successful cells; at or below -0.8 the report declares a consistent
+    trend.
     """
+    slots = [(n, rep) for n in spec.n_ladder for rep in range(spec.replications)]
+    datasets, seeds, errors, generate_s = [], [], [], []
+    for n, rep in slots:
+        seq = np.random.SeedSequence(spec.seed, spawn_key=(n, rep))
+        data_seed, chain_seed = (int(s) for s in seq.generate_state(2))
+        start = time.perf_counter()
+        dataset, error = None, ""
+        try:
+            dataset = generate_dataset(
+                spec.theta0, n, spec.design, spec.q, spec.horizon, data_seed
+            )
+            _check_records(dataset, spec.knots[-1])
+        except GpHazardError as exc:
+            dataset, error = None, str(exc)
+        generate_s.append(time.perf_counter() - start)
+        datasets.append(dataset)
+        seeds.append(chain_seed)
+        errors.append(error)
+
+    live = [i for i, dataset in enumerate(datasets) if dataset is not None]
+    runs = {}
+    start = time.perf_counter()
+    try:
+        if live:
+            runs = dict(zip(live, _chains(
+                [datasets[i] for i in live], spec.prior, spec.mcmc, [seeds[i] for i in live],
+                spec.knots,
+            )))
+    except GpHazardError as exc:
+        for i in live:
+            errors[i] = str(exc)
+    chains_s = time.perf_counter() - start
+
     cells = []
-    for n in spec.n_ladder:
-        for rep in range(spec.replications):
-            seq = np.random.SeedSequence(spec.seed, spawn_key=(n, rep))
-            data_seed, chain_seed = (int(s) for s in seq.generate_state(2))
+    for i, (n, rep) in enumerate(slots):
+        run, mass, score_s = runs.get(i), math.nan, 0.0
+        if run is not None:
             start = time.perf_counter()
             try:
-                dataset = generate_dataset(
-                    spec.theta0, n, spec.design, spec.q, spec.horizon, data_seed
-                )
-                run = mcmc_run(
-                    dataset, spec.prior, replace(spec.mcmc, seed=chain_seed), spec.knots
-                )
                 mass = posterior_outside_mass(
                     run.draws, spec.theta0, spec.epsilon, spec.design, spec.q, spec.metric_grid
                 )
-                cells.append(
-                    CellResult(
-                        n=n,
-                        rep=rep,
-                        outside_mass=mass,
-                        acceptance_paths=run.acceptance_paths,
-                        wall_time=time.perf_counter() - start,
-                        warnings=run.warnings,
-                    )
-                )
             except GpHazardError as exc:
-                cells.append(
-                    CellResult(
-                        n=n,
-                        rep=rep,
-                        outside_mass=math.nan,
-                        acceptance_paths=math.nan,
-                        wall_time=time.perf_counter() - start,
-                        error=str(exc),
-                    )
-                )
+                errors[i] = str(exc)
+            score_s = time.perf_counter() - start
+        ok = not errors[i]
+        cells.append(
+            CellResult(
+                n=n,
+                rep=rep,
+                outside_mass=mass if ok else math.nan,
+                acceptance_paths=run.acceptance_paths if ok else math.nan,
+                wall_time=generate_s[i] + (chains_s if datasets[i] is not None else 0.0) + score_s,
+                error=errors[i],
+                warnings=run.warnings if ok else (),
+                generate_s=generate_s[i],
+                score_s=score_s,
+            )
+        )
 
     good = [c for c in cells if not c.error]
     per_n = []
@@ -519,4 +608,5 @@ def consistency_experiment(spec: ExperimentSpec) -> ExperimentReport:
         spearman=rho,
         consistent_trend=consistent,
         epsilon=spec.epsilon,
+        chains_s=chains_s,
     )

@@ -31,6 +31,7 @@ from .hazard import (
     TableQ,
     Theta,
     UniformQ,
+    _laws,
     survival_matrix,
 )
 
@@ -46,6 +47,11 @@ Q_CELLS_2D = 16
 _BLOCK = 64
 _SUB = 16
 _CACHE_RUNS = 64
+
+# Parameters are scored in batches whose largest table holds at most this
+# many doubles (256 KiB), so memory stays flat in the number of draws; at
+# d = 2 one parameter's box table exceeds it, and a batch is one parameter.
+_BATCH_DOUBLES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -250,8 +256,10 @@ class _BoxTable:
     axis one cumulative sum and one difference over the knot pairs i < j
     give D_B for every box at once, in row-major (i_0, j_0, i_1, j_1)
     order; at d = 0 the table is the sum of the rows.  Atoms, slots and
-    the reference rows are resolved once for every compared parameter;
-    survival_matrix refuses time knots past either horizon.
+    the reference rows are resolved once for every compared parameter,
+    and parameters on one grid are scored in batches of up to
+    self.batch, each batch from one law call; survival rows refuse time
+    knots past either horizon.
     """
 
     def __init__(self, theta_ref: Theta, design: str, q_grid, grid: GridSpec):
@@ -277,27 +285,56 @@ class _BoxTable:
                  for k, x in zip(self.knots, self.nodes.T)]
         self.slot = np.ravel_multi_index(slots, self.shape) if d else np.zeros(len(self.nodes), int)
         self.pairs = [np.triu_indices(len(k), 1) for k in self.knots]
+        # one parameter's largest table: the slot table, then each axis's
+        # slots replaced by its knot pairs in turn
+        sizes = list(self.shape)
+        peak = math.prod(sizes)
+        for axis, (i, _) in enumerate(self.pairs):
+            sizes[axis] = len(i)
+            peak = max(peak, math.prod(sizes))
+        self.batch = max(1, _BATCH_DOUBLES // (peak * len(self.ts)))
 
-    def deviation(self, theta: Theta) -> MetricResult:
-        """max over grid rectangles of |mu_theta - mu_ref|, with one maximizer."""
-        diff = survival_matrix(theta, self.nodes, self.ts) - self.ref
+    def _scores(self, batch) -> tuple:
+        """(spread of the best box, that box, D_B(t) for every box) for
+        each parameter of batch, which share one grid."""
+        b, nt = len(batch), len(self.ts)
+        diff = np.exp(-_laws(batch, self.nodes, self.ts)[2]).reshape(b, -1, nt) - self.ref
         diff *= self.weights[:, None]
-        table = np.zeros((math.prod(self.shape), len(self.ts)))
-        np.add.at(table, self.slot, diff)
-        table = table.reshape(*self.shape, len(self.ts))
-        for axis, (i, j) in enumerate(self.pairs):
+        table = np.zeros((b, math.prod(self.shape), nt))
+        np.add.at(table, (slice(None), self.slot), diff)
+        table = table.reshape(b, *self.shape, nt)
+        for axis, (i, j) in enumerate(self.pairs, start=1):
             cum = np.cumsum(table, axis=axis)
             table = np.take(cum, 2 * j + 1, axis=axis)
             table -= np.take(cum, 2 * i, axis=axis)
-        table = table.reshape(-1, len(self.ts))
-        box = int(np.argmax(table.max(axis=1) - table.min(axis=1)))
+        table = table.reshape(b, -1, nt)
+        spread = table.max(axis=2) - table.min(axis=2)
+        box = spread.argmax(axis=1)
+        return spread[np.arange(b), box], box, table
+
+    def values(self, thetas) -> np.ndarray:
+        """max over grid rectangles of |mu_theta - mu_ref| for each theta:
+        consecutive parameters on one grid are scored a batch at a time."""
+        out, batch = [], []
+        for theta in thetas:
+            if batch and (len(batch) == self.batch or theta.grid.points != batch[0].grid.points):
+                out.append(self._scores(batch)[0])
+                batch = []
+            batch.append(theta)
+        out.append(self._scores(batch)[0])
+        return np.concatenate(out)
+
+    def deviation(self, theta: Theta) -> MetricResult:
+        """max over grid rectangles of |mu_theta - mu_ref|, with one maximizer:
+        the one-parameter case of values."""
+        (value,), (box,), (table,) = self._scores((theta,))
         hi_k, lo_k = int(np.argmax(table[box])), int(np.argmin(table[box]))
         at = np.unravel_index(box, [len(i) for i, _ in self.pairs])
         rect = Rectangle(
             time=tuple(sorted((self.ts[hi_k], self.ts[lo_k]))),
             box=tuple((k[i[p]], k[j[p]]) for k, (i, j), p in zip(self.knots, self.pairs, at)),
         )
-        return MetricResult(float(table[box, hi_k] - table[box, lo_k]), rect, self.count)
+        return MetricResult(float(value), rect, self.count)
 
 
 def sup_deviation_metric(theta_a: Theta, theta_b: Theta, design: str, q_grid, grid: GridSpec) -> MetricResult:

@@ -5,7 +5,8 @@ bench/tracing.py looks up each name it patches (for example
 namespace, so entering `installed` raises KeyError when a refactor drops
 one.  The first test enters and leaves it, without running a workload;
 the second runs a tiny chain under it, because the tracer also reads
-attributes of the sampler's results.
+attributes of the sampler's results; the third runs a two-cell ladder,
+whose chains run in lockstep outside mcmc_run.
 """
 
 import importlib.util
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from gphazard import bounds, cli, gp_paths, hazard, inference, kl, vc
 from gphazard.hazard import SurvivalDataset, Theta, UniformQ, generate_dataset
-from gphazard.inference import McmcConfig, ModelPrior, OmegaPrior
+from gphazard.inference import ExperimentSpec, McmcConfig, ModelPrior, OmegaPrior
 from gphazard.kernels import StationaryKernel
 from gphazard.vc import GridSpec
 
@@ -58,3 +59,31 @@ def test_tracer_reads_the_sampler_results():
     assert attrs["inference.mcmc_run"]["accept_paths"] == run.acceptance_paths
     assert attrs["inference.mcmc_run"]["accept_omega"] == 1.0
     assert attrs["inference.posterior_outside_mass"] == {"draws": 5}
+
+
+def test_tracer_sees_the_ladder_stages():
+    # the ladder calls generate_dataset and posterior_outside_mass once per
+    # cell and mcmc_run never: the inference.mcmc_run rows read 0 on it
+    tracing = load_tracing()
+    spec = ExperimentSpec(
+        theta0=Theta.constant(2.0, 0, 4.0),
+        prior=ModelPrior((StationaryKernel.se(lengthscale=3.0),), OmegaPrior(2.0, 1.0)),
+        n_ladder=(10, 20),
+        epsilon=0.1,
+        design="RD",
+        q=UniformQ(0),
+        replications=1,
+        mcmc=McmcConfig(30, 10, 4, 0.3, 0),
+        knots=(0.0, 2.0, 4.0),
+        metric_grid=GridSpec.regular(4.0, 5, 0),
+        horizon=4.0,
+    )
+    recorder = tracing.Recorder()
+    with tracing.installed(recorder):
+        report = inference.consistency_experiment(spec)
+    assert not any(c.error for c in report.cells)
+    names = [span[0] for span in recorder.spans]
+    assert "inference.mcmc_run" not in names
+    assert names.count("hazard.generate_dataset") == 2
+    scored = [span[4] for span in recorder.spans if span[0] == "inference.posterior_outside_mass"]
+    assert scored == [{"draws": 5}, {"draws": 5}]

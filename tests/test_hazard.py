@@ -260,7 +260,9 @@ class TestClosedForm:
             searched = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, len(knots) - 2)
             assert_array_equal(cell, searched)
             assert_array_equal(width, ts - knots[searched])
-            y_t, softplus_t, integral = _link_integral(knots, rows, cell, width)
+            # the flat index of row i's cell c is i K + c
+            at = np.arange(len(rows))[:, None] * knots.size + cell
+            y_t, softplus_t, integral = _link_integral(knots, rows, at, width)
             for i, j in np.ndindex(ts.shape):
                 ti = ts[i, j]
                 inner = [k for k in knots if 0.0 < k < ti] or None
@@ -431,6 +433,31 @@ class TestDatasets:
         th = Theta.constant(2.0, d=0, horizon=10.0, level=3)
         with pytest.raises(DomainError):
             generate_dataset(th, 0, "RD", UniformQ(0), horizon=10.0, seed=0)
+
+    @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_time_naming_the_record(self, t):
+        with pytest.raises(DomainError, match=r"record 1: time"):
+            SurvivalDataset((1.0, t, -1.0), ((), (), ()), "RD", {}, horizon=10.0)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_horizon(self, horizon):
+        with pytest.raises(DomainError, match="horizon"):
+            SurvivalDataset((1.0,), ((),), "RD", {}, horizon=horizon)
+
+    def test_times_past_the_horizon_are_kept(self):
+        # ingested data keeps its sidecar's horizon; readers check their grids
+        assert SurvivalDataset((0.0, 12.0), ((), ()), "RD", {}, horizon=10.0).n == 2
+
+    def test_from_csv_refuses_bad_times(self, tmp_path):
+        th = Theta.constant(2.0, d=0, horizon=40.0, level=4)
+        ds = generate_dataset(th, 3, "RD", UniformQ(0), horizon=40.0, seed=3)
+        file = tmp_path / "data.csv"
+        ds.to_csv(file)
+        lines = file.read_text().splitlines()
+        for bad in ("nan", "-2.0", "inf"):
+            file.write_text("\n".join(lines[:2] + [bad] + lines[3:]) + "\n")
+            with pytest.raises(DomainError, match="record 1"):
+                SurvivalDataset.from_csv(file)
 
     def test_csv_round_trip(self, tmp_path):
         th = Theta.constant(2.0, d=2, horizon=40.0, level=4)

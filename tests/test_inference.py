@@ -9,6 +9,7 @@ small ladder.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from gphazard.inference import (
     mcmc_run,
     posterior_outside_mass,
 )
-from gphazard.inference import _Likelihood, _pcn_step
+from gphazard.inference import _accepts, _chains, _Likelihood, _pcn_proposal
 from gphazard.kernels import StationaryKernel
 from gphazard.vc import GridSpec, q_atoms_from_law
 
@@ -247,16 +248,16 @@ class TestLogLikelihood:
             log_likelihood(theta, single_record(1.0))
 
     def test_rejects_dataset_past_horizon(self):
+        # negative and NaN times, and a NaN horizon, are refused when the
+        # dataset is built (tests/test_hazard.py, TestDatasets)
         theta = flat_theta(1.0, 20.0)
-        for horizon in (25.0, math.nan):
-            far = SurvivalDataset(
-                times=(1.0,), covariates=((),), design="RD", q_descriptor={}, horizon=horizon
-            )
-            with pytest.raises(DomainError, match="exceeds the representation horizon|exceeds representation horizon"):
-                log_likelihood(theta, far)
-        for t in (21.0, -0.5, math.nan):
-            with pytest.raises(DomainError, match="record time"):
-                log_likelihood(theta, single_record(t))
+        far = SurvivalDataset(
+            times=(1.0,), covariates=((),), design="RD", q_descriptor={}, horizon=25.0
+        )
+        with pytest.raises(DomainError, match="exceeds representation horizon"):
+            log_likelihood(theta, far)
+        with pytest.raises(DomainError, match="record time"):
+            log_likelihood(theta, single_record(21.0))
 
     def test_overflow_names_the_record(self):
         # omega * integral overflows for the second record only
@@ -323,8 +324,8 @@ class TestBitIdentityPins:
         dataset = generate_dataset(theta0, n, "RD", UniformQ(d), 8.0, seed=30 + d)
         knots = np.linspace(0.0, 8.0, 9)
         unit = np.random.default_rng(40 + d).standard_normal((d + 1, knots.size))
-        lik = _Likelihood(dataset, knots)
-        assert lik.parts(self.SCALES[link] * unit) == self.PARTS[d, n, link]
+        lik = _Likelihood([dataset], knots)
+        assert lik.parts([self.SCALES[link] * unit]) == [self.PARTS[d, n, link]]
 
     @pytest.mark.parametrize("d", [0, 1])
     def test_chain_ends(self, d):
@@ -392,6 +393,16 @@ class TestLogPosterior:
         assert beats >= 38
 
 
+def pcn_step(values, j, chol, beta, omega, parts, current, rng):
+    """One move of path j as the sampler makes it: parts maps a values
+    matrix to its likelihood pieces (s, i), and current is parts(values)."""
+    prop = _pcn_proposal(values, j, chol, beta, rng)
+    s, i = parts(prop)
+    if _accepts((s - current[0]) - omega * (i - current[1]), rng):
+        return prop, (s, i), True
+    return values, current, False
+
+
 class TestPcnStep:
     def test_flat_likelihood_keeps_prior(self):
         # with a constant log likelihood every move is accepted and the
@@ -405,7 +416,7 @@ class TestPcnStep:
         samples = np.empty((20000, 3))
         accepted = 0
         for i in range(20000):
-            values, current, ok = _pcn_step(values, 0, chol, 0.5, 2.0, flat, current, rng)
+            values, current, ok = pcn_step(values, 0, chol, 0.5, 2.0, flat, current, rng)
             accepted += ok
             samples[i] = values[0]
         assert accepted == 20000
@@ -425,7 +436,7 @@ class TestPcnStep:
         hits = 0
         steps = 40000
         for _ in range(steps):
-            values, current, _ = _pcn_step(values, 0, chol, 0.6, 1.0, parts, current, rng)
+            values, current, _ = pcn_step(values, 0, chol, 0.6, 1.0, parts, current, rng)
             hits += values[0, 0] > 0
         density = lambda v: math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi) / (1.0 + math.exp(-2.0 * v))
         # the normaliser is exactly 1/2 by the sigmoid's symmetry
@@ -501,10 +512,10 @@ class TestMcmcRun:
         knots = tuple(np.linspace(0.0, 10.0, 6))
         run = mcmc_run(dataset, prior, McmcConfig(2100, 100, 2, 0.3, 2), knots)
         assert run.acceptance_omega == 1.0
-        lik = _Likelihood(dataset, knots)
+        lik = _Likelihood([dataset], knots)
         omegas = np.array([draw.omega for draw in run.draws])
         rates = np.array(
-            [1.0 + lik.parts(tuple(p.values for p in draw.paths))[1] for draw in run.draws]
+            [1.0 + lik.parts([tuple(p.values for p in draw.paths)])[0][1] for draw in run.draws]
         )
         u = gamma_dist.cdf(omegas, 2.0 + 300, scale=1.0 / rates)
         assert len(u) == 1000
@@ -562,6 +573,46 @@ class TestMcmcRun:
         assert record["n_knots"] == 5
         assert record["prior_only"] is False
         assert isinstance(record["warnings"], list)
+
+
+def chain_record(run):
+    """Every draw's omega and path values, the acceptance and the warnings."""
+    draws = [(d.omega, tuple(p.values for p in d.paths)) for d in run.draws]
+    return draws, run.acceptance_paths, run.warnings
+
+
+class TestLockstepChains:
+    """_chains advances several chains together, one likelihood call per
+    move; each chain must be bit-identical to mcmc_run on its dataset."""
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_each_chain_matches_a_lone_run(self, d):
+        theta0 = Theta.constant(2.0, d, 8.0)
+        datasets = [
+            generate_dataset(theta0, n, "RD", UniformQ(d), 8.0, seed=70 + n) for n in (15, 90, 40)
+        ]
+        prior = ModelPrior((se3(),) * (d + 1), OmegaPrior(2.0, 1.0))
+        cfg = McmcConfig(90, 30, 3, 0.5, 0)
+        knots = tuple(np.linspace(0.0, 8.0, 6))
+        seeds = [11, 12, 13]
+        runs = _chains(datasets, prior, cfg, seeds, knots)
+        assert len(runs) == 3
+        for dataset, seed, run in zip(datasets, seeds, runs):
+            alone = mcmc_run(dataset, prior, replace(cfg, seed=seed), knots)
+            assert chain_record(run) == chain_record(alone)
+            assert len(run.draws) == 20
+        # moves were both accepted and refused, so every chain drew uniforms
+        assert all(0.0 < run.acceptance_paths < 1.0 for run in runs)
+
+    def test_prior_only_chains_match_lone_runs(self):
+        prior = ModelPrior((se3(), se3()), OmegaPrior(3.0, 1.5))
+        cfg = McmcConfig(60, 10, 5, 0.5, 0)
+        knots = (0.0, 3.0, 8.0)
+        runs = _chains([None] * 3, prior, cfg, [5, 6, 7], knots, prior_only=True)
+        for seed, run in zip([5, 6, 7], runs):
+            alone = mcmc_run(None, prior, replace(cfg, seed=seed), knots, prior_only=True)
+            assert chain_record(run) == chain_record(alone)
+            assert run.prior_only and run.acceptance_paths == 1.0
 
 
 class TestPosteriorOutsideMass:
@@ -711,27 +762,78 @@ class TestConsistencyExperiment:
     def test_failed_cell_is_recorded_not_fatal(self, monkeypatch):
         import gphazard.inference as inf
 
-        real = inf.mcmc_run
+        real = inf.generate_dataset
 
-        def flaky(dataset, prior, config, knots, prior_only=False):
-            if dataset is not None and dataset.n == 20:
+        def flaky(theta0, n, *args):
+            if n == 20:
                 raise NumericError("synthetic breakage")
-            return real(dataset, prior, config, knots, prior_only)
+            return real(theta0, n, *args)
 
-        monkeypatch.setattr(inf, "mcmc_run", flaky)
-        report = consistency_experiment(
-            small_spec(n_ladder=(20, 80), replications=1,
-                       mcmc=McmcConfig(200, 80, 6, 0.3, 0))
-        )
+        monkeypatch.setattr(inf, "generate_dataset", flaky)
+        spec = small_spec(n_ladder=(20, 80), replications=1, mcmc=McmcConfig(200, 80, 6, 0.3, 0))
+        report = consistency_experiment(spec)
         bad = [c for c in report.cells if c.error]
         assert len(bad) == 1
         assert bad[0].n == 20
         assert "synthetic breakage" in bad[0].error
         assert math.isnan(bad[0].outside_mass)
+        # a cell that fails at generation joins no chain
+        assert bad[0].wall_time == bad[0].generate_s and bad[0].score_s == 0.0
         # only one rung survives, so no trend can be declared
         assert math.isnan(report.spearman)
         assert not report.consistent_trend
         assert report.as_record()["failures"] == 1
+        # the surviving cell is the one a full ladder gives
+        monkeypatch.setattr(inf, "generate_dataset", real)
+        full = consistency_experiment(spec)
+        assert report.cells[1].outside_mass == full.cells[1].outside_mass
+
+    def test_dataset_past_the_knots_fails_only_its_cell(self):
+        # the 20-record cell has a record past the knots at 8, the 80-record
+        # one not
+        import gphazard.inference as inf
+
+        def short(theta0, n, *args):
+            ds = generate_dataset(theta0, n, *args)
+            return replace(ds, times=(9.5,) + ds.times[1:]) if n == 20 else ds
+
+        spec = small_spec(n_ladder=(20, 80), replications=1, mcmc=McmcConfig(200, 80, 6, 0.3, 0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inf, "generate_dataset", short)
+            report = consistency_experiment(spec)
+        assert [bool(c.error) for c in report.cells] == [True, False]
+        assert "record time" in report.cells[0].error
+        assert report.cells[1].outside_mass == consistency_experiment(spec).cells[1].outside_mass
+
+    def test_chain_stage_error_is_recorded_on_every_live_cell(self, monkeypatch):
+        import gphazard.inference as inf
+
+        def broken(*args, **kwargs):
+            raise NumericError("chain breakage")
+
+        monkeypatch.setattr(inf, "_chains", broken)
+        report = consistency_experiment(
+            small_spec(n_ladder=(20, 80), replications=2, mcmc=McmcConfig(200, 80, 6, 0.3, 0))
+        )
+        assert [(c.n, c.rep) for c in report.cells] == [(20, 0), (20, 1), (80, 0), (80, 1)]
+        assert all(c.error == "chain breakage" for c in report.cells)
+        assert all(math.isnan(c.outside_mass) and math.isnan(c.acceptance_paths)
+                   for c in report.cells)
+        assert all(c.score_s == 0.0 and c.wall_time >= c.generate_s for c in report.cells)
+        assert report.as_record()["failures"] == 4
+        assert not report.consistent_trend
+
+    def test_timings(self):
+        report = consistency_experiment(
+            small_spec(n_ladder=(20, 60), replications=1, mcmc=McmcConfig(200, 80, 6, 0.3, 0))
+        )
+        timings = report.as_record()["timings"]
+        assert timings["chains_s"] == report.chains_s > 0
+        assert [(t["n"], t["rep"]) for t in timings["cells"]] == [(20, 0), (60, 0)]
+        for cell, t in zip(report.cells, timings["cells"]):
+            assert t["generate_s"] == cell.generate_s > 0
+            assert t["score_s"] == cell.score_s > 0
+            assert cell.wall_time == cell.generate_s + report.chains_s + cell.score_s
 
     def test_report_record(self):
         cells = (
@@ -754,5 +856,12 @@ class TestConsistencyExperiment:
             "cells": 2,
             "failures": 0,
             "warnings": [{"n": 40, "rep": 0, "messages": ["path acceptance rate low"]}],
+            "timings": {
+                "chains_s": 0.0,
+                "cells": [
+                    {"n": 10, "rep": 0, "generate_s": 0.0, "score_s": 0.0},
+                    {"n": 40, "rep": 0, "generate_s": 0.0, "score_s": 0.0},
+                ],
+            },
         }
 

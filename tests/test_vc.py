@@ -284,6 +284,19 @@ class TestMetric:
         v_fine = sup_deviation_metric(theta_a, theta_b, "RD", qa, fine).value
         assert v_fine >= v_coarse - 1e-12
 
+    @pytest.mark.parametrize("d, time_knots, batch", [(0, 4097, 7), (1, 65, 3), (2, 17, 1)])
+    def test_batched_values_equal_the_one_draw_metric(self, d, time_knots, batch):
+        # draws on one grid, one on a coarser grid, then two on the first:
+        # batches break at the batch size and where the grid changes
+        theta0 = random_theta(d, seed=61)
+        draws = [random_theta(d, seed=62 + s, omega=1.5 + 0.1 * s) for s in range(2 * batch + 1)]
+        draws += [random_theta(d, seed=70, level=3)] + draws[:2]
+        grid = GridSpec.regular(3.0, time_knots, d)
+        table = vc._BoxTable(theta0, "RD", UniformQ(d), grid)
+        assert table.batch == batch
+        want = [sup_deviation_metric(draw, theta0, "RD", UniformQ(d), grid).value for draw in draws]
+        assert table.values(draws).tolist() == want
+
     def test_capacity_error(self):
         theta = Theta.constant(omega=2.0, d=1, horizon=5.0)
         grid = GridSpec.regular(horizon=5.0, time_knots=4000, d=1, covariate_knots=4)
