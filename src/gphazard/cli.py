@@ -56,7 +56,6 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "emit_config",
-    "ingest_dataset",
     "run",
     "main",
 ]
@@ -274,65 +273,6 @@ def emit_config(config: RunConfig) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def ingest_dataset(path) -> SurvivalDataset:
-    """Read a `t,x1,...,xd` CSV into a dataset, validating every row.
-
-    A sidecar `<name>.meta.json` next to the file supplies the design
-    tag, covariate descriptor, and horizon when present; without it the
-    dataset is tagged NRD with the horizon set to the largest time.
-    Times must be positive and covariates must lie in [0, 1]; failures
-    name the offending data row (1-based).
-    """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"dataset file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ConfigError(f"dataset file is empty: {path}")
-    header = rows[0]
-    if not header or header[0] != "t" or header[1:] != [f"x{j + 1}" for j in range(len(header) - 1)]:
-        raise ConfigError(f"header must be t,x1,...,xd, got {','.join(header)!r}")
-    d = len(header) - 1
-    times = []
-    covs = []
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != d + 1:
-            raise ConfigError(f"row {i}: expected {d + 1} fields, got {len(row)}")
-        try:
-            values = [float(v) for v in row]
-        except ValueError:
-            raise ConfigError(f"row {i}: non-numeric field") from None
-        t, xs = values[0], values[1:]
-        if not math.isfinite(t) or t <= 0:
-            raise ConfigError(f"row {i}: time must be positive, got {row[0]}")
-        for j, x in enumerate(xs):
-            if not 0.0 <= x <= 1.0:
-                raise ConfigError(f"row {i}: covariate x{j + 1} = {row[j + 1]} outside [0, 1]")
-        times.append(t)
-        covs.append(tuple(xs))
-    if not times:
-        raise ConfigError(f"dataset has no data rows: {path}")
-
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-        design = meta["design"]
-        descriptor = meta["q_descriptor"]
-        horizon = float(meta["horizon"])
-    else:
-        design = "NRD"
-        descriptor = {"family": "ingested", "n": len(times), "d": d}
-        horizon = max(times)
-    return SurvivalDataset(
-        times=tuple(times),
-        covariates=tuple(covs),
-        design=design,
-        q_descriptor=descriptor,
-        horizon=horizon,
-    )
-
-
 def _kernel_from(name: str, lengthscale: float, variance: float) -> StationaryKernel:
     if name == "se":
         return StationaryKernel.se(lengthscale=lengthscale, variance=variance)
@@ -416,7 +356,7 @@ def _cmd_verify_bounds(p: dict, seed: int, out: Path):
 
 def _cmd_test_stat(p: dict, seed: int, out: Path):
     if p["data"] is not None:
-        dataset = ingest_dataset(p["data"])
+        dataset = SurvivalDataset.from_csv(p["data"])
         horizon = max(dataset.horizon, max(dataset.times))
         theta0 = Theta.constant(p["omega0"], dataset.d, horizon)
     else:
@@ -494,7 +434,6 @@ def _cmd_consistency(p: dict, seed: int, out: Path):
             burn_in=p["burn_in"],
             thinning=p["thinning"],
             proposal_scale_path=p["proposal_scale_path"],
-            seed=0,
         ),
         knots=tuple(np.linspace(0.0, p["horizon"], p["knots"])),
         metric_grid=GridSpec.regular(p["horizon"], p["metric_time_knots"], p["d"]),

@@ -26,6 +26,7 @@ from scipy.special import expit
 
 from .errors import DomainError, GenerationError
 from .gp_paths import CI_Z, MC_MIN_REPS, DyadicGrid, GpPath, TimeGrid, h_weight
+from .kernels import _csv_table
 
 MAX_HORIZON_DOUBLINGS = 10
 # Below this change of the link across a segment the softplus quotient
@@ -133,6 +134,8 @@ class Theta:
     @classmethod
     def from_values(cls, omega: float, grid: TimeGrid, values_per_path, kernel_ids=None) -> "Theta":
         ids = kernel_ids or ["unspecified"] * len(values_per_path)
+        if len(ids) != len(values_per_path):
+            raise DomainError(f"{len(ids)} kernel_ids for {len(values_per_path)} paths")
         return cls(omega, tuple(
             GpPath(grid, tuple(v), kid) for v, kid in zip(values_per_path, ids)
         ))
@@ -153,40 +156,32 @@ class Theta:
     # -- persistence -----------------------------------------------------
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"eta{j}" for j in range(len(self.paths))])
-            for i, t in enumerate(self.grid.points):
-                writer.writerow([repr(t)] + [repr(p.values[i]) for p in self.paths])
         grid = self.grid
-        meta = {
-            "omega": self.omega,
-            "kernel_ids": [p.kernel_id for p in self.paths],
-            "grid": (
-                {"kind": "dyadic", "tau": grid.tau, "level": grid.level}
-                if isinstance(grid, DyadicGrid) else {"kind": "plain"}
-            ),
-        }
-        path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(meta, indent=2))
+        grid_meta = ({"kind": "dyadic", "tau": grid.tau, "level": grid.level}
+                     if isinstance(grid, DyadicGrid) else {"kind": "plain"})
+        _write_table(
+            path,
+            ["t"] + [f"eta{j}" for j in range(len(self.paths))],
+            np.column_stack([grid.as_array()] + [p.values for p in self.paths]),
+            {"omega": self.omega, "kernel_ids": [p.kernel_id for p in self.paths], "grid": grid_meta},
+        )
 
     @classmethod
     def from_csv(cls, path) -> "Theta":
-        path = Path(path)
-        meta = json.loads(path.with_suffix(path.suffix + ".meta.json").read_text())
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, data = rows[0], rows[1:]
-        cols = np.array([[float(v) for v in row] for row in data]).T
-        ts = cols[0]
-        if meta["grid"]["kind"] == "dyadic":
-            grid = DyadicGrid(meta["grid"]["tau"], meta["grid"]["level"])
-        else:
-            grid = TimeGrid(tuple(ts))
-        return cls(meta["omega"], tuple(
-            GpPath(grid, tuple(col), kid)
-            for col, kid in zip(cols[1:], meta["kernel_ids"])
-        ))
+        """Read a file that to_csv wrote: header t,eta0,...,etaD and a
+        sidecar with omega, one kernel id per path and the grid; a dyadic
+        grid must equal the file's t column."""
+        with _csv_table(path) as (header, table):
+            if len(header) < 2 or header != ["t"] + [f"eta{j}" for j in range(len(header) - 1)]:
+                raise DomainError(f"line 1: header must be t,eta0,...,etaD, got {','.join(header)!r}")
+            meta = _read_meta(path)
+            if meta["grid"]["kind"] == "dyadic":
+                grid = DyadicGrid(meta["grid"]["tau"], meta["grid"]["level"])
+                if not np.array_equal(grid.as_array(), table[:, 0]):
+                    raise DomainError(f"t column differs from the sidecar's dyadic grid {meta['grid']}")
+            else:
+                grid = TimeGrid(tuple(table[:, 0]))
+            return cls.from_values(meta["omega"], grid, table[:, 1:].T, meta["kernel_ids"])
 
 
 # -- evaluation ---------------------------------------------------------
@@ -518,9 +513,11 @@ class TableQ:
 class SurvivalDataset:
     """Observed times and covariates plus the design that produced them.
 
-    Times must be finite and nonnegative and the horizon finite and
-    positive.  A time may lie past the horizon: ingested data keeps its
-    sidecar's horizon, and the readers check times against their own grids.
+    Times must be finite and nonnegative, every record must have d
+    covariates in [0,1] (NaN fails), and the horizon must be finite and
+    positive; a refusal names the first bad record.  A time may lie past
+    the horizon: data read from a file keep its sidecar's horizon, and
+    the readers check times against their own grids.
     """
 
     times: tuple
@@ -534,14 +531,23 @@ class SurvivalDataset:
             raise DomainError(f"design must be 'RD' or 'NRD', got {self.design!r}")
         if len(self.times) != len(self.covariates):
             raise DomainError("times and covariates must have equal length")
-        if not 0 < self.horizon < np.inf:  # NaN fails too
-            raise DomainError(f"horizon must be finite and positive, got {self.horizon!r}")
         t = self.times_array()
         bad = np.flatnonzero(~((t >= 0) & (t < np.inf)))  # NaN fails both
         if bad.size:
             raise DomainError(
                 f"record {int(bad[0])}: time {float(t[bad[0]])!r} is not finite and nonnegative"
             )
+        bad = np.flatnonzero(np.fromiter(map(len, self.covariates), int, self.n) != self.d)
+        if not bad.size:
+            x = self.covariates_array()
+            bad = np.flatnonzero(~((x >= 0) & (x <= 1)).all(axis=1))  # NaN fails too
+        if bad.size:
+            raise DomainError(
+                f"record {int(bad[0])}: covariates {self.covariates[bad[0]]} are not d = {self.d} "
+                f"values in [0,1]"
+            )
+        if not 0 < self.horizon < np.inf:  # NaN fails too
+            raise DomainError(f"horizon must be finite and positive, got {self.horizon!r}")
 
     @property
     def n(self) -> int:
@@ -558,34 +564,57 @@ class SurvivalDataset:
         return np.asarray(self.covariates, dtype=float).reshape(self.n, -1) if self.n else np.empty((0, 0))
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        d = self.d
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"x{j + 1}" for j in range(d)])
-            for t, row in zip(self.times, self.covariates):
-                writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
-        meta = {
-            "design": self.design,
-            "q_descriptor": self.q_descriptor,
-            "horizon": self.horizon,
-        }
-        path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(meta, indent=2))
+        _write_table(
+            path,
+            ["t"] + [f"x{j + 1}" for j in range(self.d)],
+            np.column_stack((self.times_array(), self.covariates_array())),
+            {"design": self.design, "q_descriptor": self.q_descriptor, "horizon": self.horizon},
+        )
 
     @classmethod
     def from_csv(cls, path) -> "SurvivalDataset":
-        path = Path(path)
-        meta = json.loads(path.with_suffix(path.suffix + ".meta.json").read_text())
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        data = [[float(v) for v in row] for row in rows[1:]]
-        return cls(
-            times=tuple(r[0] for r in data),
-            covariates=tuple(tuple(r[1:]) for r in data),
-            design=meta["design"],
-            q_descriptor=meta["q_descriptor"],
-            horizon=meta["horizon"],
-        )
+        """Read a CSV with header t,x1,...,xd and one record per row.  A
+        sidecar as to_csv writes gives the design, descriptor and horizon;
+        without one they are NRD, {"family": "ingested", "n": n, "d": d}
+        and the largest time."""
+        with _csv_table(path) as (header, table):
+            d = len(header) - 1
+            if header != ["t"] + [f"x{j + 1}" for j in range(d)]:
+                raise DomainError(f"line 1: header must be t,x1,...,xd, got {','.join(header)!r}")
+            meta = _read_meta(path, {
+                "design": "NRD",
+                "q_descriptor": {"family": "ingested", "n": len(table), "d": d},
+                "horizon": float(table[:, 0].max()),
+            })
+            return cls(
+                times=tuple(table[:, 0].tolist()),
+                covariates=tuple(map(tuple, table[:, 1:].tolist())),
+                design=meta["design"],
+                q_descriptor=meta["q_descriptor"],
+                horizon=meta["horizon"],
+            )
+
+
+def _write_table(path, header, table, meta) -> None:
+    """Write the header and the rows of the float matrix table as CSV,
+    each value as its repr, and meta as the JSON sidecar."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(table.tolist())
+    Path(f"{path}.meta.json").write_text(json.dumps(meta, indent=2))
+
+
+def _read_meta(path, default=None):
+    """The JSON sidecar that _write_table puts beside path, or default
+    when there is none and a default is given."""
+    sidecar = Path(f"{path}.meta.json")
+    if default is not None and not sidecar.exists():
+        return default
+    try:
+        return json.loads(sidecar.read_text())
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"sidecar {sidecar.name}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def generate_dataset(theta0: Theta, n: int, design: str, q, horizon: float, seed: int) -> SurvivalDataset:

@@ -107,7 +107,6 @@ class McmcConfig:
     burn_in: int
     thinning: int
     proposal_scale_path: float
-    seed: int
 
     def __post_init__(self):
         for name in ("iterations", "burn_in", "thinning"):
@@ -290,6 +289,7 @@ def mcmc_run(
     prior: ModelPrior,
     config: McmcConfig,
     knots,
+    seed,
     prior_only: bool = False,
 ) -> McmcReport:
     """Gibbs sampler over (omega, path values at knots).
@@ -303,12 +303,12 @@ def mcmc_run(
     With prior_only the likelihood is dropped (n = 0, I = 0): path moves
     always accept and omega is drawn from its prior, which makes the
     draws a prior sample for calibration checks.  Deterministic given
-    config.seed.
+    seed, which starts the chain's one generator.
 
     Path acceptance is measured after burn_in; a rate below 1% or above
     99% is reported as a warning, not an error.
     """
-    return _chains([dataset], prior, config, [config.seed], knots, prior_only)[0]
+    return _chains([dataset], prior, config, [seed], knots, prior_only)[0]
 
 
 def _chains(datasets, prior: ModelPrior, config: McmcConfig, seeds, knots, prior_only=False) -> list:
@@ -319,7 +319,7 @@ def _chains(datasets, prior: ModelPrior, config: McmcConfig, seeds, knots, prior
     chains' proposals are scored by one _Likelihood evaluation.  So each
     report is bit-identical to mcmc_run on its dataset with that seed,
     and a ladder pays the per-call cost of the likelihood once per move,
-    not once per chain.  config.seed is not read.
+    not once per chain.
     """
     grid = _knot_grid(knots)
     kn = grid.points
@@ -417,9 +417,9 @@ class ExperimentSpec:
     """Everything one consistency run needs, fixed up front.
 
     Datasets are generated from theta0 at each ladder size, the sampler
-    runs with mcmc (its seed field is not read), and the outside mass is
-    measured with (design, q, metric_grid) at epsilon.  Each cell's data
-    and chain streams derive from (seed, n, rep).
+    runs with mcmc, and the outside mass is measured with (design, q,
+    metric_grid) at epsilon.  Each cell's data and chain streams derive
+    from (seed, n, rep).
     """
 
     theta0: Theta

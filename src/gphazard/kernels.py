@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,29 +132,53 @@ class StationaryKernel:
     @classmethod
     def from_csv(cls, path) -> "StationaryKernel":
         """Load a tabulated kernel from a two-column CSV with a header row."""
+        with _csv_table(path) as (header, table):
+            if len(header) != 2:
+                raise DomainError(f"line 1: expected exactly 2 columns, got {len(header)}")
+            try:
+                float(header[0])
+            except ValueError:
+                pass
+            else:
+                raise DomainError("line 1: first row must be a (non-numeric) header")
+            return cls("tabulated", table_t=tuple(table[:, 0].tolist()), table_k=tuple(table[:, 1].tolist()))
+
+
+@contextmanager
+def _csv_table(path):
+    """The package's one CSV parser: the header row of a file and the rows
+    below it as a float matrix, for the body of a with statement.
+
+    An unreadable or empty file, a header alone, a row whose field count
+    differs from the header's and a non-numeric field raise a DomainError
+    naming the file and, but for the first, the line; the header is line
+    1.  A DomainError, or a KeyError or TypeError from a malformed
+    sidecar, in the body re-raises as a DomainError naming the file.
+    """
+    try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        if not rows:
-            raise DomainError(f"{path}: empty kernel table")
-        header = rows[0]
-        if len(header) != 2:
-            raise DomainError(f"{path}: expected exactly 2 columns, got {len(header)}")
-        try:
-            float(header[0])
-        except ValueError:
-            pass
-        else:
-            raise DomainError(f"{path}: first row must be a (non-numeric) header")
-        ts, ks = [], []
-        for i, row in enumerate(rows[1:], start=2):
-            if len(row) != 2:
-                raise DomainError(f"{path}: row {i}: expected 2 fields, got {len(row)}")
+    except (OSError, UnicodeError, csv.Error) as exc:
+        raise DomainError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    if len(rows) < 2:
+        raise DomainError(f"{path}: line {len(rows) + 1}: expected a header and rows of data")
+    header, data = rows[0], rows[1:]
+    try:
+        table = np.array(data, dtype=float).reshape(len(data), len(header))
+    except ValueError:
+        # only now walk the rows, to name the first bad line
+        for line, row in enumerate(data, start=2):
+            if len(row) != len(header):
+                raise DomainError(f"{path}: line {line}: {len(row)} fields, header has {len(header)}") from None
             try:
-                ts.append(float(row[0]))
-                ks.append(float(row[1]))
+                np.array(row, dtype=float)
             except ValueError as exc:
-                raise DomainError(f"{path}: row {i}: non-numeric field ({exc})") from exc
-        return cls("tabulated", table_t=tuple(ts), table_k=tuple(ks))
+                raise DomainError(f"{path}: line {line}: {exc}") from None
+        raise
+    try:
+        yield header, table
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"{path}: {'missing key ' if isinstance(exc, KeyError) else ''}{exc}") from exc
 
 
 # -- inverse-increment check ------------------------------------------------

@@ -414,7 +414,7 @@ def test_12_consistency_trend():
         design="RD",
         q=UniformQ(0),
         replications=5,
-        mcmc=McmcConfig(4000, 1500, 5, 0.25, 0),
+        mcmc=McmcConfig(4000, 1500, 5, 0.25),
         knots=tuple(np.linspace(0.0, horizon, 8)),
         metric_grid=GridSpec.regular(horizon, 129, 0),
         horizon=horizon,

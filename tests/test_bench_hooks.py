@@ -51,7 +51,7 @@ def test_tracer_reads_the_sampler_results():
     prior = ModelPrior((StationaryKernel.se(lengthscale=3.0),), OmegaPrior(2.0, 1.0))
     recorder = tracing.Recorder()
     with tracing.installed(recorder):
-        run = inference.mcmc_run(dataset, prior, McmcConfig(20, 10, 2, 0.3, 0), (0.0, 2.0, 4.0))
+        run = inference.mcmc_run(dataset, prior, McmcConfig(20, 10, 2, 0.3), (0.0, 2.0, 4.0), 0)
         inference.posterior_outside_mass(
             run.draws, theta0, 0.1, "RD", UniformQ(0), GridSpec.regular(4.0, 5, 0)
         )
@@ -73,7 +73,7 @@ def test_tracer_sees_the_ladder_stages():
         design="RD",
         q=UniformQ(0),
         replications=1,
-        mcmc=McmcConfig(30, 10, 4, 0.3, 0),
+        mcmc=McmcConfig(30, 10, 4, 0.3),
         knots=(0.0, 2.0, 4.0),
         metric_grid=GridSpec.regular(4.0, 5, 0),
         horizon=4.0,

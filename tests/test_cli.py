@@ -1,4 +1,4 @@
-"""Tests for config parsing, dataset ingestion, and the run dispatcher.
+"""Tests for config parsing, the data file of test-stat, and the run dispatcher.
 
 Command bodies are exercised end to end at small sizes into temp
 directories; the heavy default configurations belong to the acceptance
@@ -16,12 +16,11 @@ from gphazard.cli import (
     COMMANDS,
     RunConfig,
     emit_config,
-    ingest_dataset,
     main,
     parse_config,
     run,
 )
-from gphazard.errors import ConfigError
+from gphazard.errors import ConfigError, DomainError
 from gphazard.gp_paths import JITTER_FACTOR
 from gphazard.hazard import SurvivalDataset, Theta, UniformQ, generate_dataset
 
@@ -145,6 +144,8 @@ class TestParseConfig:
 
 
 class TestIngestDataset:
+    """The data file that test-stat reads, through SurvivalDataset.from_csv."""
+
     def write(self, tmp_path, text, name="data.csv"):
         path = tmp_path / name
         path.write_text(text)
@@ -152,66 +153,70 @@ class TestIngestDataset:
 
     def test_reads_valid_rows(self, tmp_path):
         path = self.write(tmp_path, "t,x1\n1.5,0.2\n2.0,0.9\n0.4,1.0\n")
-        ds = ingest_dataset(path)
+        ds = SurvivalDataset.from_csv(path)
         assert ds.n == 3
         assert ds.d == 1
         assert ds.design == "NRD"
+        assert ds.q_descriptor == {"family": "ingested", "n": 3, "d": 1}
         assert ds.horizon == 2.0
         assert ds.times == (1.5, 2.0, 0.4)
         assert ds.covariates == ((0.2,), (0.9,), (1.0,))
 
     def test_no_covariates(self, tmp_path):
         path = self.write(tmp_path, "t\n1.0\n2.0\n")
-        ds = ingest_dataset(path)
+        ds = SurvivalDataset.from_csv(path)
         assert ds.d == 0
         assert ds.n == 2
 
     def test_out_of_range_covariate_names_row(self, tmp_path):
         path = self.write(tmp_path, "t,x1\n1.0,0.5\n2.0,1.5\n")
-        with pytest.raises(ConfigError, match="row 2.*x1"):
-            ingest_dataset(path)
+        with pytest.raises(DomainError, match=r"data\.csv: record 1: covariates \(1\.5,\)"):
+            SurvivalDataset.from_csv(path)
 
     def test_nonpositive_time_names_row(self, tmp_path):
-        path = self.write(tmp_path, "t,x1\n0.0,0.5\n")
-        with pytest.raises(ConfigError, match="row 1"):
-            ingest_dataset(path)
+        # a time of exactly 0 is allowed, as for every dataset; a negative one is not
+        path = self.write(tmp_path, "t,x1\n0.0,0.5\n1.0,0.5\n")
+        assert SurvivalDataset.from_csv(path).times == (0.0, 1.0)
+        path = self.write(tmp_path, "t,x1\n1.0,0.5\n-1.0,0.5\n")
+        with pytest.raises(DomainError, match="record 1: time -1.0"):
+            SurvivalDataset.from_csv(path)
 
     def test_non_numeric_names_row(self, tmp_path):
         path = self.write(tmp_path, "t,x1\n1.0,0.5\nfast,0.1\n")
-        with pytest.raises(ConfigError, match="row 2"):
-            ingest_dataset(path)
+        with pytest.raises(DomainError, match="line 3.*fast"):
+            SurvivalDataset.from_csv(path)
 
     def test_field_count_mismatch(self, tmp_path):
         path = self.write(tmp_path, "t,x1\n1.0\n")
-        with pytest.raises(ConfigError, match="row 1"):
-            ingest_dataset(path)
+        with pytest.raises(DomainError, match="line 2: 1 fields, header has 2"):
+            SurvivalDataset.from_csv(path)
 
     def test_bad_header(self, tmp_path):
         path = self.write(tmp_path, "time,x1\n1.0,0.5\n")
-        with pytest.raises(ConfigError, match="header"):
-            ingest_dataset(path)
+        with pytest.raises(DomainError, match="line 1: header"):
+            SurvivalDataset.from_csv(path)
 
     def test_missing_file_names_path(self, tmp_path):
         missing = tmp_path / "nope.csv"
-        with pytest.raises(ConfigError, match="nope.csv"):
-            ingest_dataset(missing)
+        with pytest.raises(DomainError, match="nope.csv"):
+            SurvivalDataset.from_csv(missing)
 
     def test_empty_file(self, tmp_path):
         path = self.write(tmp_path, "")
-        with pytest.raises(ConfigError, match="empty"):
-            ingest_dataset(path)
+        with pytest.raises(DomainError, match="line 1: expected a header"):
+            SurvivalDataset.from_csv(path)
 
     def test_no_data_rows(self, tmp_path):
         path = self.write(tmp_path, "t,x1\n")
-        with pytest.raises(ConfigError, match="no data rows"):
-            ingest_dataset(path)
+        with pytest.raises(DomainError, match="line 2: expected a header and rows of data"):
+            SurvivalDataset.from_csv(path)
 
     def test_generated_then_ingested_round_trip(self, tmp_path):
         theta0 = Theta.constant(2.0, 1, 10.0)
         ds = generate_dataset(theta0, 12, "RD", UniformQ(1), 10.0, 3)
         path = tmp_path / "gen.csv"
         ds.to_csv(path)
-        back = ingest_dataset(path)
+        back = SurvivalDataset.from_csv(path)
         assert back == ds
         assert back.design == "RD"
 
@@ -219,8 +224,9 @@ class TestIngestDataset:
         path = self.write(tmp_path, "t,x1\n1.0,0.5\n")
         sidecar = tmp_path / "data.csv.meta.json"
         sidecar.write_text(json.dumps({"design": "RD", "q_descriptor": {"family": "uniform", "d": 1}, "horizon": 9.0}))
-        ds = ingest_dataset(path)
+        ds = SurvivalDataset.from_csv(path)
         assert ds.design == "RD"
+        assert ds.q_descriptor == {"family": "uniform", "d": 1}
         assert ds.horizon == 9.0
 
 
@@ -258,7 +264,7 @@ class TestRun:
         report = json.loads((d / "report.json").read_text(), parse_constant=reject_constant)
         assert report["n"] == 20
         assert report["jitter"] == JITTER_FACTOR  # kappa(0) = 1
-        back = ingest_dataset(d / "dataset.csv")
+        back = SurvivalDataset.from_csv(d / "dataset.csv")
         assert back.n == 20
 
     def test_reruns_append_new_directories(self, tmp_path):

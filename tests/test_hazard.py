@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import mpmath
@@ -9,7 +11,7 @@ from scipy.integrate import quad
 from scipy.special import expit, log_expit
 
 from gphazard.errors import DomainError, GenerationError
-from gphazard.gp_paths import DyadicGrid, GpPath, sample_path
+from gphazard.gp_paths import DyadicGrid, GpPath, TimeGrid, sample_path
 from gphazard.hazard import (
     _FLAT_DY,
     MAX_HORIZON_DOUBLINGS,
@@ -125,6 +127,11 @@ class TestThetaAndCovariate:
         th = Theta.from_weighted(1.0, grid, [hat])
         back = transform_hat(th.paths[0], d=0)
         assert_allclose(back.values, hat, atol=1e-12)
+
+    def test_from_values_needs_one_kernel_id_per_path(self):
+        grid = DyadicGrid(4.0, 2)
+        with pytest.raises(DomainError, match="1 kernel_ids for 2 paths"):
+            Theta.from_values(2.0, grid, [np.zeros(5), np.ones(5)], ["se"])
 
     def test_csv_round_trip(self, tmp_path):
         th = random_theta(3, d=1)
@@ -444,8 +451,13 @@ class TestDatasets:
         with pytest.raises(DomainError, match="horizon"):
             SurvivalDataset((1.0,), ((),), "RD", {}, horizon=horizon)
 
+    @pytest.mark.parametrize("row", [(), (0.5, 0.5), (1.5,), (-0.1,), (math.nan,)])
+    def test_rejects_bad_covariates_naming_the_record(self, row):
+        with pytest.raises(DomainError, match=r"record 1: covariates"):
+            SurvivalDataset((1.0, 2.0, 3.0), ((0.5,), row, (2.0,)), "RD", {}, horizon=10.0)
+
     def test_times_past_the_horizon_are_kept(self):
-        # ingested data keeps its sidecar's horizon; readers check their grids
+        # data read from a file keep its sidecar's horizon; readers check their grids
         assert SurvivalDataset((0.0, 12.0), ((), ()), "RD", {}, horizon=10.0).n == 2
 
     def test_from_csv_refuses_bad_times(self, tmp_path):
@@ -472,6 +484,124 @@ class TestDatasets:
         assert again.design == ds.design
         assert again.q_descriptor == ds.q_descriptor
 
+
+def pinned_dataset(d):
+    rng = np.random.default_rng(100 + d)
+    return SurvivalDataset(
+        tuple(rng.uniform(0.0, 30.0, 40).tolist()),
+        tuple(map(tuple, rng.uniform(size=(40, d)).tolist())),
+        "RD", {"family": "uniform", "d": d}, 20.0,
+    )
+
+
+def pinned_theta(grid):
+    rng = np.random.default_rng(7)
+    return Theta.from_values(2.5, grid, rng.uniform(-2.0, 2.0, (2, len(grid.points))), ["se", "ou"])
+
+
+THETA_META = json.dumps({"omega": 2.0, "kernel_ids": ["se"], "grid": {"kind": "plain"}})
+DYADIC_META = json.dumps({"omega": 2.0, "kernel_ids": ["se"], "grid": {"kind": "dyadic", "tau": 2.0, "level": 1}})
+
+# (reader, {file name: text, None for no file}, pattern); the first file
+# is the one read.  Every refusal names the file; a format error names
+# its line too, the header being line 1.
+MALFORMED = [
+    pytest.param(SurvivalDataset, {"data.csv": "t,x1\n1.0,0.5\n2.0\n"},
+                 r"data\.csv: line 3: 1 fields, header has 2", id="data-ragged"),
+    pytest.param(SurvivalDataset, {"data.csv": "t,x1\n1.0,0.5\n\n2.0,0.5\n"},
+                 r"data\.csv: line 3: 0 fields", id="data-blank-line"),
+    pytest.param(SurvivalDataset, {"data.csv": "t,x1\n1.0,0.5\n2.0,1.5\n"},
+                 r"data\.csv: record 1: covariates \(1\.5,\)", id="data-covariate-above-1"),
+    pytest.param(SurvivalDataset, {"data.csv": "t,x1\n1.0,nan\n"},
+                 r"data\.csv: record 0: covariates", id="data-nan-covariate"),
+    pytest.param(SurvivalDataset, {"data.csv": "t,x1\n-1.0,0.5\n"},
+                 r"data\.csv: record 0: time", id="data-negative-time"),
+    pytest.param(SurvivalDataset, {"data.csv": "t,x2\n1.0,0.5\n"},
+                 r"data\.csv: line 1: header must be t,x1", id="data-bad-header"),
+    pytest.param(SurvivalDataset, {"data.csv": ""}, r"data\.csv: line 1", id="data-empty"),
+    pytest.param(SurvivalDataset, {"data.csv": "t,x1\n"}, r"data\.csv: line 2", id="data-header-alone"),
+    pytest.param(SurvivalDataset, {"data.csv": "t,x1\n1.0,0.5\nfast,0.1\n"},
+                 r"data\.csv: line 3: could not convert string to float: 'fast'", id="data-non-numeric"),
+    pytest.param(SurvivalDataset, {"data.csv": None}, r"data\.csv: No such file", id="data-missing"),
+    pytest.param(SurvivalDataset, {"data.csv": "t\n1.0\n", "data.csv.meta.json": "{"},
+                 r"data\.csv: sidecar data\.csv\.meta\.json: Expecting", id="data-sidecar-not-json"),
+    pytest.param(SurvivalDataset, {"data.csv": "t\n1.0\n", "data.csv.meta.json": '{"design": "RD"}'},
+                 r"data\.csv: missing key 'q_descriptor'", id="data-sidecar-lacks-key"),
+    pytest.param(SurvivalDataset, {"data.csv": "t\n1.0\n", "data.csv.meta.json": "[]"},
+                 r"data\.csv: ", id="data-sidecar-not-object"),
+    pytest.param(Theta, {"theta.csv": "t,eta0\n0.0,0.1\n2.0,abc\n", "theta.csv.meta.json": THETA_META},
+                 r"theta\.csv: line 3: could not convert", id="theta-non-numeric"),
+    pytest.param(Theta, {"theta.csv": "t,eta0\n0.0,0.1\n2.0\n", "theta.csv.meta.json": THETA_META},
+                 r"theta\.csv: line 3: 1 fields", id="theta-ragged"),
+    pytest.param(Theta, {"theta.csv": "t,eta1\n0.0,0.1\n2.0,0.3\n", "theta.csv.meta.json": THETA_META},
+                 r"theta\.csv: line 1: header must be t,eta0", id="theta-bad-header"),
+    pytest.param(Theta, {"theta.csv": "t\n0.0\n2.0\n", "theta.csv.meta.json": THETA_META},
+                 r"theta\.csv: line 1: header", id="theta-no-path"),
+    pytest.param(Theta, {"theta.csv": "t,eta0,eta1\n0.0,0.1,0.2\n2.0,0.3,0.4\n",
+                         "theta.csv.meta.json": THETA_META},
+                 r"theta\.csv: 1 kernel_ids for 2 paths", id="theta-short-kernel-ids"),
+    pytest.param(Theta, {"theta.csv": "t,eta0\n0.0,0.1\n2.0,0.3\n"},
+                 r"theta\.csv: sidecar theta\.csv\.meta\.json: No such file", id="theta-no-sidecar"),
+    pytest.param(Theta, {"theta.csv": "t,eta0\n0.0,0.1\n1.5,0.2\n2.0,0.3\n",
+                         "theta.csv.meta.json": DYADIC_META},
+                 r"theta\.csv: t column differs from the sidecar's dyadic grid", id="theta-dyadic-t-differs"),
+    pytest.param(Theta, {"theta.csv": "t,eta0\n0.0,0.1\n2.0,0.3\n", "theta.csv.meta.json": DYADIC_META},
+                 r"theta\.csv: t column differs", id="theta-dyadic-rows-missing"),
+    pytest.param(Theta, {"theta.csv": "t,eta0\n0.0,0.1\n2.0,0.3\n",
+                         "theta.csv.meta.json": '{"omega": 2.0, "kernel_ids": ["se"]}'},
+                 r"theta\.csv: missing key 'grid'", id="theta-sidecar-lacks-grid"),
+    pytest.param(Theta, {"theta.csv": ""}, r"theta\.csv: line 1", id="theta-empty"),
+    pytest.param(StationaryKernel, {"kernel.csv": "t,k,z\n0.0,1.0,2.0\n"},
+                 r"kernel\.csv: line 1: expected exactly 2 columns", id="kernel-three-columns"),
+    pytest.param(StationaryKernel, {"kernel.csv": "0.0,1.0\n1.0,0.5\n"},
+                 r"kernel\.csv: line 1: first row must be a \(non-numeric\) header", id="kernel-numeric-header"),
+    pytest.param(StationaryKernel, {"kernel.csv": "t,k\n0.0,1.0\n1.0\n"},
+                 r"kernel\.csv: line 3: 1 fields", id="kernel-ragged"),
+    pytest.param(StationaryKernel, {"kernel.csv": "t,k\n0.0,1.0\n1.0,oops\n"},
+                 r"kernel\.csv: line 3: could not convert", id="kernel-non-numeric"),
+    pytest.param(StationaryKernel, {"kernel.csv": ""}, r"kernel\.csv: line 1", id="kernel-empty"),
+    pytest.param(StationaryKernel, {"kernel.csv": None}, r"kernel\.csv: No such file", id="kernel-missing"),
+    pytest.param(StationaryKernel, {"kernel.csv": "t,k\n0.5,1.0\n1.0,0.5\n"},
+                 r"kernel\.csv: tabulated kernel must start at t = 0", id="kernel-bad-values"),
+]
+
+
+class TestCsvFiles:
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (lambda: pinned_dataset(0), "d385606f17fbfd367454fd42ab2fc49e1ace333956fe61691aea1aa983118302"),
+            (lambda: pinned_dataset(1), "bbc7bfa7bc25afd4684b9c53990f8ed10f58fa5abb152309ed535d54485d0545"),
+            (lambda: pinned_dataset(2), "9414a4ad674d55759eb8d2fc2e0247f53dec37829301519c6721e638a945f841"),
+            (lambda: pinned_theta(TimeGrid((0.0, 0.3, 1.7, 5.0, 11.25))),
+             "0cc525d76151320cabd3e05831fbac4afe7f96c8c6526608dca48cdf772c7935"),
+            (lambda: pinned_theta(DyadicGrid(20.0, 4)),
+             "3f7d82a416ce7509c635cedc87fb289d9d8cfa42b611baf40074fd2a1bfea641"),
+        ],
+        ids=["dataset-d0", "dataset-d1", "dataset-d2", "theta-plain", "theta-dyadic"],
+    )
+    def test_written_bytes_are_pinned(self, tmp_path, make, digest):
+        # sha256 of the CSV then its sidecar; every float is written as its repr
+        obj = make()
+        file = tmp_path / "f.csv"
+        obj.to_csv(file)
+        written = file.read_bytes() + (tmp_path / "f.csv.meta.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest
+        assert type(obj).from_csv(file) == obj
+
+    @pytest.mark.parametrize("reader, files, pattern", MALFORMED)
+    def test_malformed_file_is_refused_by_name(self, tmp_path, reader, files, pattern):
+        for name, text in files.items():
+            if text is not None:
+                (tmp_path / name).write_text(text)
+        with pytest.raises(DomainError, match=pattern):
+            reader.from_csv(tmp_path / next(iter(files)))
+
+    def test_undecodable_file_is_refused_by_name(self, tmp_path):
+        file = tmp_path / "kernel.csv"
+        file.write_bytes(b"t,k\n0.0,\xff\xfe\n")
+        with pytest.raises(DomainError, match=r"kernel\.csv: "):
+            StationaryKernel.from_csv(file)
 
 class TestMeanHazard:
     @pytest.mark.parametrize("omega", [2.0, 6.0])

@@ -135,7 +135,7 @@ class TestModelPrior:
 
 class TestMcmcConfig:
     def test_accepts_full_path_scale(self):
-        cfg = McmcConfig(10, 2, 1, 1.0, 0)
+        cfg = McmcConfig(10, 2, 1, 1.0)
         assert cfg.proposal_scale_path == 1.0
 
     @pytest.mark.parametrize(
@@ -160,7 +160,6 @@ class TestMcmcConfig:
             burn_in=2,
             thinning=1,
             proposal_scale_path=0.5,
-            seed=0,
         )
         base.update(kwargs)
         with pytest.raises(DomainError):
@@ -332,8 +331,8 @@ class TestBitIdentityPins:
         theta0 = Theta.constant(2.0, d, 8.0)
         dataset = generate_dataset(theta0, 200, "RD", UniformQ(d), 8.0, seed=50 + d)
         prior = ModelPrior((se3(),) * (d + 1), OmegaPrior(2.0, 1.0))
-        cfg = McmcConfig(120, 20, 10, 0.3, 60 + d)
-        run = mcmc_run(dataset, prior, cfg, tuple(np.linspace(0.0, 8.0, 5)))
+        cfg = McmcConfig(120, 20, 10, 0.3)
+        run = mcmc_run(dataset, prior, cfg, tuple(np.linspace(0.0, 8.0, 5)), 60 + d)
         ends = tuple(
             (draw.omega, tuple(p.values for p in draw.paths)) for draw in (run.draws[0], run.draws[-1])
         )
@@ -453,9 +452,9 @@ class TestMcmcRun:
         dataset = self.small_dataset()
         prior = ModelPrior((se3(),), OmegaPrior(2.0, 1.0))
         knots = tuple(np.linspace(0.0, 8.0, 5))
-        cfg = McmcConfig(60, 20, 4, 0.4, 9)
-        a = mcmc_run(dataset, prior, cfg, knots)
-        b = mcmc_run(dataset, prior, cfg, knots)
+        cfg = McmcConfig(60, 20, 4, 0.4)
+        a = mcmc_run(dataset, prior, cfg, knots, 9)
+        b = mcmc_run(dataset, prior, cfg, knots, 9)
         assert len(a.draws) == len(b.draws) > 0
         for x, y in zip(a.draws, b.draws):
             assert x.omega == y.omega
@@ -464,8 +463,8 @@ class TestMcmcRun:
     def test_draw_count(self):
         dataset = self.small_dataset()
         prior = ModelPrior((se3(),), OmegaPrior(2.0, 1.0))
-        cfg = McmcConfig(50, 10, 5, 0.4, 1)
-        run = mcmc_run(dataset, prior, cfg, tuple(np.linspace(0.0, 8.0, 5)))
+        cfg = McmcConfig(50, 10, 5, 0.4)
+        run = mcmc_run(dataset, prior, cfg, tuple(np.linspace(0.0, 8.0, 5)), 1)
         # draws at iterations 10, 15, ..., 45, all on one grid of the knots
         assert len(run.draws) == 8
         assert run.draws[0].grid.points == run.knots
@@ -475,9 +474,9 @@ class TestMcmcRun:
         # with the likelihood dropped the draws must reproduce the gamma
         # law of the scale and the kernel marginals at the knots
         prior = ModelPrior((se3(),), OmegaPrior(3.0, 1.5))
-        cfg = McmcConfig(30200, 200, 3, 0.5, 42)
+        cfg = McmcConfig(30200, 200, 3, 0.5)
         knots = tuple(np.linspace(0.0, 20.0, 4))
-        run = mcmc_run(None, prior, cfg, knots, prior_only=True)
+        run = mcmc_run(None, prior, cfg, knots, 42, prior_only=True)
         assert run.prior_only
         assert len(run.draws) == 10000
         assert run.acceptance_paths == 1.0
@@ -494,8 +493,8 @@ class TestMcmcRun:
         # at prior shape 0.01 about one exact Gamma draw in a thousand
         # rounds to 0.0; it is recorded as the smallest normal double
         prior = ModelPrior((se3(),), OmegaPrior(0.01, 1.0))
-        cfg = McmcConfig(3000, 100, 1, 0.3, 0)
-        run = mcmc_run(None, prior, cfg, (0.0, 5.0, 10.0), prior_only=True)
+        cfg = McmcConfig(3000, 100, 1, 0.3)
+        run = mcmc_run(None, prior, cfg, (0.0, 5.0, 10.0), 0, prior_only=True)
         omegas = np.array([draw.omega for draw in run.draws])
         assert len(omegas) == 2900
         assert np.all(omegas > 0)
@@ -510,7 +509,7 @@ class TestMcmcRun:
         dataset = generate_dataset(theta0, 300, "RD", UniformQ(d), 10.0, 21)
         prior = ModelPrior((se3(),) * (d + 1), OmegaPrior(2.0, 1.0))
         knots = tuple(np.linspace(0.0, 10.0, 6))
-        run = mcmc_run(dataset, prior, McmcConfig(2100, 100, 2, 0.3, 2), knots)
+        run = mcmc_run(dataset, prior, McmcConfig(2100, 100, 2, 0.3), knots, 2)
         assert run.acceptance_omega == 1.0
         lik = _Likelihood([dataset], knots)
         omegas = np.array([draw.omega for draw in run.draws])
@@ -530,8 +529,8 @@ class TestMcmcRun:
         theta0 = Theta.constant(2.0, 1, 20.0)
         dataset = generate_dataset(theta0, 400, "RD", UniformQ(1), 20.0, 101)
         prior = ModelPrior((se3(), se3()), OmegaPrior(2.0, 1.0))
-        cfg = McmcConfig(600, 250, 5, 0.25, 7)
-        run = mcmc_run(dataset, prior, cfg, tuple(np.linspace(0.0, 20.0, 6)))
+        cfg = McmcConfig(600, 250, 5, 0.25)
+        run = mcmc_run(dataset, prior, cfg, tuple(np.linspace(0.0, 20.0, 6)), 7)
         point = Covariate((0.5,))
         hazards = np.array(
             [HazardCurve(d, point).hazard_at(1.0) for d in run.draws]
@@ -540,34 +539,34 @@ class TestMcmcRun:
 
     def test_rejects_bad_knots(self):
         prior = ModelPrior((se3(),), OmegaPrior(2.0, 1.0))
-        cfg = McmcConfig(10, 2, 1, 0.4, 0)
+        cfg = McmcConfig(10, 2, 1, 0.4)
         with pytest.raises(DomainError, match="knots"):
-            mcmc_run(self.small_dataset(), prior, cfg, (1.0, 2.0))
+            mcmc_run(self.small_dataset(), prior, cfg, (1.0, 2.0), 0)
 
     def test_rejects_infinite_knot(self):
         prior = ModelPrior((se3(),), OmegaPrior(2.0, 1.0))
-        cfg = McmcConfig(10, 2, 1, 0.4, 0)
+        cfg = McmcConfig(10, 2, 1, 0.4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=r"knots.*\(0\.0, 4\.0, inf\)"):
-                mcmc_run(self.small_dataset(), prior, cfg, (0.0, 4.0, math.inf))
+                mcmc_run(self.small_dataset(), prior, cfg, (0.0, 4.0, math.inf), 0)
 
     def test_rejects_missing_dataset(self):
         prior = ModelPrior((se3(),), OmegaPrior(2.0, 1.0))
-        cfg = McmcConfig(10, 2, 1, 0.4, 0)
+        cfg = McmcConfig(10, 2, 1, 0.4)
         with pytest.raises(DomainError, match="nonempty"):
-            mcmc_run(None, prior, cfg, (0.0, 8.0))
+            mcmc_run(None, prior, cfg, (0.0, 8.0), 0)
 
     def test_rejects_d_mismatch(self):
         prior = ModelPrior((se3(), se3()), OmegaPrior(2.0, 1.0))
-        cfg = McmcConfig(10, 2, 1, 0.4, 0)
+        cfg = McmcConfig(10, 2, 1, 0.4)
         with pytest.raises(DomainError, match="prior covers d=1"):
-            mcmc_run(self.small_dataset(), prior, cfg, (0.0, 8.0))
+            mcmc_run(self.small_dataset(), prior, cfg, (0.0, 8.0), 0)
 
     def test_record_shape(self):
         prior = ModelPrior((se3(),), OmegaPrior(2.0, 1.0))
-        cfg = McmcConfig(40, 10, 3, 0.4, 5)
-        run = mcmc_run(self.small_dataset(), prior, cfg, tuple(np.linspace(0.0, 8.0, 5)))
+        cfg = McmcConfig(40, 10, 3, 0.4)
+        run = mcmc_run(self.small_dataset(), prior, cfg, tuple(np.linspace(0.0, 8.0, 5)), 5)
         record = run.as_record()
         assert record["n_draws"] == len(run.draws)
         assert record["n_knots"] == 5
@@ -592,13 +591,13 @@ class TestLockstepChains:
             generate_dataset(theta0, n, "RD", UniformQ(d), 8.0, seed=70 + n) for n in (15, 90, 40)
         ]
         prior = ModelPrior((se3(),) * (d + 1), OmegaPrior(2.0, 1.0))
-        cfg = McmcConfig(90, 30, 3, 0.5, 0)
+        cfg = McmcConfig(90, 30, 3, 0.5)
         knots = tuple(np.linspace(0.0, 8.0, 6))
         seeds = [11, 12, 13]
         runs = _chains(datasets, prior, cfg, seeds, knots)
         assert len(runs) == 3
         for dataset, seed, run in zip(datasets, seeds, runs):
-            alone = mcmc_run(dataset, prior, replace(cfg, seed=seed), knots)
+            alone = mcmc_run(dataset, prior, cfg, knots, seed)
             assert chain_record(run) == chain_record(alone)
             assert len(run.draws) == 20
         # moves were both accepted and refused, so every chain drew uniforms
@@ -606,11 +605,11 @@ class TestLockstepChains:
 
     def test_prior_only_chains_match_lone_runs(self):
         prior = ModelPrior((se3(), se3()), OmegaPrior(3.0, 1.5))
-        cfg = McmcConfig(60, 10, 5, 0.5, 0)
+        cfg = McmcConfig(60, 10, 5, 0.5)
         knots = (0.0, 3.0, 8.0)
         runs = _chains([None] * 3, prior, cfg, [5, 6, 7], knots, prior_only=True)
         for seed, run in zip([5, 6, 7], runs):
-            alone = mcmc_run(None, prior, replace(cfg, seed=seed), knots, prior_only=True)
+            alone = mcmc_run(None, prior, cfg, knots, seed, prior_only=True)
             assert chain_record(run) == chain_record(alone)
             assert run.prior_only and run.acceptance_paths == 1.0
 
@@ -646,7 +645,7 @@ class TestPosteriorOutsideMass:
         theta0 = Theta.constant(2.0, d, 4.0)
         dataset = generate_dataset(theta0, 40, "RD", UniformQ(d), 4.0, 3)
         prior = ModelPrior((se3(),) * (d + 1), OmegaPrior(2.0, 1.0))
-        run = mcmc_run(dataset, prior, McmcConfig(60, 10, 5, 0.4, 7), tuple(np.linspace(0.0, 4.0, 5)))
+        run = mcmc_run(dataset, prior, McmcConfig(60, 10, 5, 0.4), tuple(np.linspace(0.0, 4.0, 5)), 7)
         assert len(run.draws) == 10
         grid = GridSpec.regular(4.0, 6, d, covariate_knots=4)
         atoms = q_atoms_from_law(UniformQ(d), cells_per_axis=4)
@@ -677,7 +676,7 @@ def small_spec(**overrides):
         design="RD",
         q=UniformQ(0),
         replications=2,
-        mcmc=McmcConfig(900, 300, 6, 0.3, 0),
+        mcmc=McmcConfig(900, 300, 6, 0.3),
         knots=tuple(np.linspace(0.0, 8.0, 5)),
         metric_grid=GridSpec.regular(8.0, 33, 0),
         horizon=8.0,
@@ -734,7 +733,7 @@ class TestConsistencyExperiment:
 
     def test_csv_round(self):
         report = consistency_experiment(small_spec(n_ladder=(20, 60), replications=1,
-                                                   mcmc=McmcConfig(200, 80, 6, 0.3, 0)))
+                                                   mcmc=McmcConfig(200, 80, 6, 0.3)))
         text = report.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "n,rep,outside_mass,acceptance_paths,wall_time"
@@ -744,7 +743,7 @@ class TestConsistencyExperiment:
 
     def test_reproducible(self):
         spec = small_spec(n_ladder=(20, 60), replications=1,
-                          mcmc=McmcConfig(200, 80, 6, 0.3, 0))
+                          mcmc=McmcConfig(200, 80, 6, 0.3))
         a = consistency_experiment(spec)
         b = consistency_experiment(spec)
         assert [c.outside_mass for c in a.cells] == [c.outside_mass for c in b.cells]
@@ -753,7 +752,7 @@ class TestConsistencyExperiment:
     def test_huge_epsilon_gives_flat_zero_masses(self):
         report = consistency_experiment(
             small_spec(n_ladder=(20, 60), replications=1, epsilon=5.0,
-                       mcmc=McmcConfig(200, 80, 6, 0.3, 0))
+                       mcmc=McmcConfig(200, 80, 6, 0.3))
         )
         assert all(c.outside_mass == 0.0 for c in report.cells)
         assert math.isnan(report.spearman)
@@ -770,7 +769,7 @@ class TestConsistencyExperiment:
             return real(theta0, n, *args)
 
         monkeypatch.setattr(inf, "generate_dataset", flaky)
-        spec = small_spec(n_ladder=(20, 80), replications=1, mcmc=McmcConfig(200, 80, 6, 0.3, 0))
+        spec = small_spec(n_ladder=(20, 80), replications=1, mcmc=McmcConfig(200, 80, 6, 0.3))
         report = consistency_experiment(spec)
         bad = [c for c in report.cells if c.error]
         assert len(bad) == 1
@@ -797,7 +796,7 @@ class TestConsistencyExperiment:
             ds = generate_dataset(theta0, n, *args)
             return replace(ds, times=(9.5,) + ds.times[1:]) if n == 20 else ds
 
-        spec = small_spec(n_ladder=(20, 80), replications=1, mcmc=McmcConfig(200, 80, 6, 0.3, 0))
+        spec = small_spec(n_ladder=(20, 80), replications=1, mcmc=McmcConfig(200, 80, 6, 0.3))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(inf, "generate_dataset", short)
             report = consistency_experiment(spec)
@@ -813,7 +812,7 @@ class TestConsistencyExperiment:
 
         monkeypatch.setattr(inf, "_chains", broken)
         report = consistency_experiment(
-            small_spec(n_ladder=(20, 80), replications=2, mcmc=McmcConfig(200, 80, 6, 0.3, 0))
+            small_spec(n_ladder=(20, 80), replications=2, mcmc=McmcConfig(200, 80, 6, 0.3))
         )
         assert [(c.n, c.rep) for c in report.cells] == [(20, 0), (20, 1), (80, 0), (80, 1)]
         assert all(c.error == "chain breakage" for c in report.cells)
@@ -825,7 +824,7 @@ class TestConsistencyExperiment:
 
     def test_timings(self):
         report = consistency_experiment(
-            small_spec(n_ladder=(20, 60), replications=1, mcmc=McmcConfig(200, 80, 6, 0.3, 0))
+            small_spec(n_ladder=(20, 60), replications=1, mcmc=McmcConfig(200, 80, 6, 0.3))
         )
         timings = report.as_record()["timings"]
         assert timings["chains_s"] == report.chains_s > 0

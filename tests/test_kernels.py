@@ -171,7 +171,7 @@ class TestTabulated:
 
     def test_bad_row_reported_with_number(self, tmp_path):
         path = self._write(tmp_path, "t,kappa\n0.0,1.0\n1.0,oops\n")
-        with pytest.raises(DomainError, match="row 3"):
+        with pytest.raises(DomainError, match="line 3"):
             StationaryKernel.from_csv(path)
 
     def test_must_start_at_zero_and_increase(self, tmp_path):
