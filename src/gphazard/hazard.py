@@ -576,16 +576,22 @@ class SurvivalDataset:
         """Read a CSV with header t,x1,...,xd and one record per row.  A
         sidecar as to_csv writes gives the design, descriptor and horizon;
         without one they are NRD, {"family": "ingested", "n": n, "d": d}
-        and the largest time."""
+        and the largest time, so a file whose times are all 0 needs one."""
         with _csv_table(path) as (header, table):
             d = len(header) - 1
             if header != ["t"] + [f"x{j + 1}" for j in range(d)]:
                 raise DomainError(f"line 1: header must be t,x1,...,xd, got {','.join(header)!r}")
-            meta = _read_meta(path, {
+            default = {
                 "design": "NRD",
                 "q_descriptor": {"family": "ingested", "n": len(table), "d": d},
                 "horizon": float(table[:, 0].max()),
-            })
+            }
+            meta = _read_meta(path, default)
+            if meta is default and not table[:, 0].any():
+                raise DomainError(
+                    "every time is 0: without a sidecar the horizon is the largest time, "
+                    "which must be positive"
+                )
             return cls(
                 times=tuple(table[:, 0].tolist()),
                 covariates=tuple(map(tuple, table[:, 1:].tolist())),

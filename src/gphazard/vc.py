@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -43,10 +44,14 @@ Q_CELLS_2D = 16
 
 # Anchored search: anchor rows are built and bounded in blocks of _BLOCK
 # anchors, refined into runs of _SUB anchors; the rows of the last
-# _CACHE_RUNS runs the search built are kept.
+# _CACHE_RUNS runs the search built are kept.  On the benchmark's null
+# case at n = 2000 the search builds rows of 52 runs: keeping 32 rather
+# than 64 lowers its traced peak from 52 to 43 MiB for 11 more builds.
+# NRD at n = 2000 builds as often with 32 as with 64; with 16 it would
+# evaluate more reference rows.
 _BLOCK = 64
 _SUB = 16
-_CACHE_RUNS = 64
+_CACHE_RUNS = 32
 
 # Parameters are scored in batches whose largest table holds at most this
 # many doubles (256 KiB), so memory stays flat in the number of draws; at
@@ -407,12 +412,18 @@ class TestStatResult:
     d: int
     epsilon: float
     # anchored-search work: pairs of 64-anchor blocks and of 16-anchor runs
-    # bounded, left anchors scored exactly against a run, and 2-D share
-    # builds; zero at d = 0, where no covariate pair is searched
+    # bounded, left anchors scored exactly against a run, 2-D share builds
+    # and blocks whose run corners were built; zero at d = 0, where no
+    # covariate pair is searched
     block_pairs_bounded: int = 0
     sub_pairs_bounded: int = 0
     rows_expanded: int = 0
     block_builds: int = 0
+    corner_blocks: int = 0
+    # seconds spent building the anchor rows' kept summaries (at d = 0 the
+    # time sweep's rows) and then searching; not compared
+    build_s: float = field(default=0.0, compare=False)
+    search_s: float = field(default=0.0, compare=False)
 
     def as_record(self) -> dict:
         db = deviation_bounds(self.n, self.d, self.epsilon)
@@ -429,6 +440,11 @@ class TestStatResult:
             "sub_pairs_bounded": self.sub_pairs_bounded,
             "rows_expanded": self.rows_expanded,
             "block_builds": self.block_builds,
+            "timings": {
+                "build_s": self.build_s,
+                "search_s": self.search_s,
+                "corner_blocks": self.corner_blocks,
+            },
         }
 
 
@@ -480,18 +496,22 @@ class _AnchorRows:
     Shares at any anchors of a block of _BLOCK are built from the state at
     the block's start in one 2-D kernel: the block's records are scattered
     into a rows x (K+1) increment matrix, summed along both axes and added
-    to that state.  One sweep at construction records every block's start
-    state and two kinds of summary (see _pair_bound), so no m x K matrix
-    is held:
-      - per block and per run of _SUB rows, the elementwise envelope of
-        its rows.  While the reference term stays the same the shares only
-        grow, so each extreme is taken at the ends of those stretches.
-      - per run r0..r1, its corners: the mass of [T_a, T_b] grows with the
-        box, so S at r1 minus R at r0 bounds every row's mass from above
-        and S at r0 minus R at r1 from below.  Corners are far tighter
-        than envelopes on runs where the reference stays flat, and far
-        looser on blocks.
-    The search builds the runs it visits and keeps the last _CACHE_RUNS.
+    to that state.  One sweep at construction keeps, per block, its start
+    state, the running reference R at the first and last anchor of each of
+    its runs of _SUB, and per side the elementwise envelope of its rows
+    (see _pair_bound).  While the reference term stays the same the shares
+    only grow, so each extreme is taken at the ends of those stretches.
+    No m x K matrix is held; the rest is built on demand:
+      - a block's run corners (corners), when the search first splits a
+        block pair that reads them, kept for every block visited.  The
+        mass of [T_a, T_b] grows with the box, so S at r1 minus R at r0
+        bounds every row's mass of the run r0..r1 from above and S at r0
+        minus R at r1 from below.  Corners are far tighter than envelopes
+        on runs where the reference stays flat, and far looser on blocks.
+        Their shares are counted again and their R is the sweep's, so no
+        reference row is evaluated for them.
+      - a run's rows (rows), with R carried on from the sweep's value at
+        the run's first anchor; the last _CACHE_RUNS runs built are kept.
     Builds write into reused buffers, because fresh pages cost more than
     the arithmetic.
     """
@@ -515,9 +535,9 @@ class _AnchorRows:
         self.theta0, self.anchors_t = theta0, anchors_t
         # Under RD the atoms are the few cells of a covariate law, so their
         # rows are built once and sliced per block; under NRD there is one
-        # atom per record, and each block builds the rows of its own atoms.
-        # The RD rows are filled over the blocks' atom ranges, so no call
-        # holds the temporaries of every atom at once.
+        # atom per record, and each build evaluates the rows of its own
+        # atoms.  The RD rows are filled over the blocks' atom ranges, so
+        # no call holds the temporaries of every atom at once.
         self.ref_rows = None
         if design == "RD":
             cuts = np.append(self.node_pos[::_BLOCK], self.node_pos[-1])
@@ -532,64 +552,45 @@ class _AnchorRows:
         self.slack = 8.0 * (len(self.node_w) + 8) * np.finfo(float).eps
         self.builds = 0
         self.cache: OrderedDict = OrderedDict()
+        self.corner_cache: dict = {}
         self._counts = np.empty((_BLOCK + 1, self.K + 1), np.int64)
         self._share = np.empty((_BLOCK + 1, self.K + 1))
-        self._ref = np.empty((_BLOCK, self.K))
+        self._ref = np.empty((_SUB, self.K))
         self._sweep()
 
     def _sweep(self) -> None:
-        """Record every block's start state and the summaries: per side,
-        (4, blocks, K) block envelopes and (4, runs, K) run envelopes and
-        run corners, each in _pair_bound's order."""
-        K, node_lo, node_hi = self.K, self.node_lo, self.node_hi
-        nblock, nrun = -(-self.m // _BLOCK), -(-self.m // _SUB)
+        """Record every block's start state, its runs' boundary R as
+        (atom indices, rows), and per side its (4, blocks, K) envelopes in
+        _pair_bound's order."""
+        K, node_pos = self.K, self.node_pos
+        nblock = -(-self.m // _BLOCK)
         self.p_block, self.q_block = np.empty((2, 4, nblock, K))
-        self.p_run_env, self.q_run_env = np.empty((2, 4, nrun, K))
-        self.p_run_corner, self.q_run_corner = np.empty((2, 4, nrun, K))
-        self.starts = []
+        self.starts, self.run_refs = [], []
         state = (np.zeros(K + 1, np.int64), np.zeros(K))
         for b, s in enumerate(range(0, self.m, _BLOCK)):
             self.starts.append(state)
             e = min(self.m, s + _BLOCK)
             # rows counted from s; p's row r reads share row r + 1, q's row r
-            r0 = np.arange(0, e - s, _SUB)
-            r1 = np.minimum(r0 + _SUB, e - s) - 1
-            runs = slice(s // _SUB, s // _SUB + len(r0))
             sides = []
-            for node, shift in ((node_hi[s:e], 1), (node_lo[s:e], 0)):
-                # stretches of rows in one run with one reference term:
-                # their last rows, and (one after each last row) their first
+            for node, shift in ((self.node_hi[s:e], 1), (self.node_lo[s:e], 0)):
+                # stretches of rows with one reference term: their last
+                # rows, and (one after each last row) their first
                 ends = np.append(node[:-1] != node[1:], True)
-                ends[r1] = True
-                sides.append((node, shift, np.flatnonzero(ends), np.flatnonzero(np.roll(ends, 1))))
-            at = np.unique(np.concatenate(
-                [r + shift for _, shift, end, begin in sides for r in (r0, r1, end, begin)]
-            ))
-            share, ref = self._shares(s, at)
+                sides.append((node, shift, np.flatnonzero(ends | np.roll(ends, 1))))
+            at = np.unique(np.concatenate([r + shift for _, shift, r in sides]))
+            share = self._shares(s, at)
+            ref = self._running_reference(state[1], node_pos[s], node_pos[s + at[-1]])
             state = (self._counts[len(at) - 1].copy(), ref[-1].copy())
-            for (node, shift, end, begin), block_env, run_env, corner in zip(
-                sides, (self.p_block, self.q_block), (self.p_run_env, self.q_run_env),
-                (self.p_run_corner, self.q_run_corner),
-            ):
-
-                def rows(r_share, r_ref):
-                    """(le, lt) from the shares of rows r_share and the
-                    reference of rows r_ref"""
-                    shares = share[np.searchsorted(at, r_share + shift)]
-                    refs = ref[node[r_ref] - self.node_pos[s]]
-                    return shares[:, 1:] - refs, shares[:, :-1] - refs
-
-                le_end, lt_end = rows(end, end)
-                le_begin, lt_begin = rows(begin, begin)
-                envelope = ((le_end, end, np.max), (lt_begin, begin, np.min),
-                            (le_begin, begin, np.min), (lt_end, end, np.max))
-                for k, (x, r, reduce) in enumerate(envelope):
-                    # per run; a run's last row fills its short tail
-                    cut = np.append(np.searchsorted(r, r0), len(r))
-                    fill = np.arange(int(np.max(np.diff(cut))))
-                    run_env[k, runs] = reduce(x[np.minimum(cut[:-1, None] + fill, cut[1:, None] - 1)], axis=1)
-                    block_env[k, b] = reduce(run_env[k, runs], axis=0)
-                corner[:, runs] = rows(r1, r0) + rows(r0, r1)
+            for (node, shift, r), envelope in zip(sides, (self.p_block, self.q_block)):
+                shares = share[np.searchsorted(at, r + shift)]
+                refs = ref[node[r] - node_pos[s]]
+                envelope[:, b] = _envelope(shares[:, 1:] - refs, shares[:, :-1] - refs)
+            r0 = np.arange(s, e, _SUB)
+            r1 = np.minimum(r0 + _SUB, e) - 1
+            kept = np.unique(np.concatenate(
+                [node[r] for node in (self.node_lo, self.node_hi) for r in (r0, r1)]
+            ))
+            self.run_refs.append((kept, ref[kept - node_pos[s]]))
 
     def _reference(self, a: int, b: int) -> np.ndarray:
         """Weighted reference CDF rows of atoms a..b-1."""
@@ -600,12 +601,17 @@ class _AnchorRows:
         f = 1.0 - survival_matrix(self.theta0, self.node_rows[a:b], self.anchors_t)
         return self.node_w[a:b, None] * f
 
-    def _shares(self, start: int, at: np.ndarray):
+    def _running_reference(self, base: np.ndarray, a: int, b: int) -> np.ndarray:
+        """R at atoms a..b from R at atom a (base), summed one atom at a
+        time as the sweep sums it, so a build from a kept R repeats the
+        sweep's sums."""
+        return np.cumsum(np.vstack([base, self._reference(a, b)]), axis=0)
+
+    def _shares(self, start: int, at: np.ndarray) -> np.ndarray:
         """Shares S at the anchors start + at of the block beginning at
-        anchor start (at increasing), and the running reference R over the
-        block's atoms from node_pos[start] up to the last of those anchors."""
+        anchor start (at increasing)."""
         self.builds += 1
-        counts0, ref0 = self.starts[start // _BLOCK]
+        counts0 = self.starts[start // _BLOCK][0]
         pos = self.rec_pos[start + at]
         records = np.arange(self.rec_pos[start], pos[-1])
         counts = self._counts[: len(at)]
@@ -614,9 +620,31 @@ class _AnchorRows:
         np.cumsum(counts, axis=0, out=counts)
         np.cumsum(counts, axis=1, out=counts)
         counts += counts0
-        share = np.multiply(counts, self.inv_n, out=self._share[: len(at)])
-        atoms = self._reference(self.node_pos[start], self.node_pos[start + at[-1]])
-        return share, np.cumsum(np.vstack([ref0, atoms]), axis=0)
+        return np.multiply(counts, self.inv_n, out=self._share[: len(at)])
+
+    def _kept_reference(self, block: int, atoms: np.ndarray) -> np.ndarray:
+        """The sweep's R at atoms that bound runs of block."""
+        kept, refs = self.run_refs[block]
+        return refs[np.searchsorted(kept, atoms)]
+
+    def corners(self, block: int) -> tuple:
+        """(p, q) run corners of one block, each (4, runs, K) in
+        _pair_bound's order: built on first use, then kept."""
+        if block not in self.corner_cache:
+            s = block * _BLOCK
+            e = min(self.m, s + _BLOCK)
+            r0 = np.arange(s, e, _SUB)
+            r1 = np.minimum(r0 + _SUB, e) - 1
+            at = np.unique(np.concatenate([r0, r1, r0 + 1, r1 + 1])) - s
+            share = self._shares(s, at)
+            sides = []
+            for node, shift in ((self.node_hi, 1), (self.node_lo, 0)):
+                s0, s1 = (share[np.searchsorted(at, r - s + shift)] for r in (r0, r1))
+                ref0, ref1 = (self._kept_reference(block, node[r]) for r in (r0, r1))
+                sides.append(np.stack((s1[:, 1:] - ref0, s1[:, :-1] - ref0,
+                                       s0[:, 1:] - ref1, s0[:, :-1] - ref1)))
+            self.corner_cache[block] = tuple(sides)
+        return self.corner_cache[block]
 
     def rows(self, side: str, run: int):
         """(le, lt) rows of one side ("p" or "q") for one run of _SUB
@@ -631,12 +659,15 @@ class _AnchorRows:
             out = (self.cache.popitem(last=False)[1] if len(self.cache) >= _CACHE_RUNS
                    else np.empty((2, _SUB, self.K)))
             start = s - s % _BLOCK
-            share, ref = self._shares(start, np.arange(s - start, e - start + 1))
+            share = self._shares(start, np.arange(s - start, e - start + 1))
+            a = self.node_pos[s]
+            ref = self._running_reference(
+                self._kept_reference(start // _BLOCK, [a])[0], a, self.node_pos[e]
+            )
             node, shifted = (self.node_hi, share[1:]) if side == "p" else (self.node_lo, share[:-1])
             # indices are in range by construction; "clip" skips the
             # buffered bounds check that out= would otherwise cost
-            gathered = np.take(ref, node[s:e] - self.node_pos[start], axis=0,
-                               out=self._ref[: e - s], mode="clip")
+            gathered = np.take(ref, node[s:e] - a, axis=0, out=self._ref[: e - s], mode="clip")
             np.subtract(shifted[:, 1:], gathered, out=out[0, : e - s])
             np.subtract(shifted[:, :-1], gathered, out=out[1, : e - s])
             self.cache[key] = out
@@ -644,22 +675,29 @@ class _AnchorRows:
         return le, lt
 
 
+def _envelope(le: np.ndarray, lt: np.ndarray) -> tuple:
+    """The summary of a group of (le, lt) rows as _pair_bound reads it:
+    their elementwise extremes."""
+    return le.max(axis=0), lt.min(axis=0), le.min(axis=0), lt.max(axis=0)
+
+
 def _anchored_search(rows: _AnchorRows):
     """Best-first branch and bound over anchor pairs i <= j; returns the
     best value, (i*, j*) and the search counters.
 
-    Every pair of blocks of _BLOCK anchors is bounded from envelopes first;
-    a block pair above the incumbent is split into its pairs of runs of
-    _SUB anchors, bounded from corners; a run pair into its left rows,
-    each bounded exactly on the left and from the right run's corners,
-    then its envelope; and a row is expanded exactly against the run's
-    right rows.  Nodes leave a
-    heap in order of bound, so only nodes whose bound exceeds the final
-    maximum are ever split or expanded.  Every bound carries the rows'
-    rounding allowance, so the result is the largest computed pair value.
+    Every pair of blocks of _BLOCK anchors is bounded from the envelopes
+    the sweep kept first; a block pair above the incumbent is split into
+    its pairs of runs of _SUB anchors, bounded from corners that the
+    first split to read them builds; a run pair into its left rows, each
+    bounded exactly on the left and from the right run's corners, then
+    from the envelope of the right run's rows; and a row is expanded
+    exactly against those rows.  Nodes leave a heap in order of bound, so
+    only nodes whose bound exceeds the final maximum are ever split or
+    expanded, and only their blocks' corners and their runs' rows are
+    built.  Every bound carries the rows' rounding allowance, so the
+    result is the largest computed pair value.
     """
     per = _BLOCK // _SUB
-    nrun = rows.p_run_corner.shape[1]
 
     def bound(p, q):
         return _pair_bound(p, q) + rows.slack
@@ -674,22 +712,23 @@ def _anchored_search(rows: _AnchorRows):
     while heap and -heap[0][0] > best:
         _, level, i, j = heapq.heappop(heap)
         if level == 0:
-            iruns = np.arange(i * per, min(nrun, i * per + per))
-            jruns = np.arange(j * per, min(nrun, j * per + per))
-            bounds = bound(rows.p_run_corner[:, None, jruns], rows.q_run_corner[:, iruns, None])
+            p, q = rows.corners(j)[0], rows.corners(i)[1]
+            iruns = np.arange(i * per, i * per + q.shape[1])
+            jruns = np.arange(j * per, j * per + p.shape[1])
+            bounds = bound(p[:, None], q[:, :, None])
             counts["sub_pairs_bounded"] += bounds.size
             for a, b in zip(*np.nonzero((bounds > best) & (iruns[:, None] <= jruns[None]))):
                 heapq.heappush(heap, (-float(bounds[a, b]), 1, int(iruns[a]), int(jruns[b])))
         elif level == 1:
             q_le, q_lt = rows.rows("q", i)
-            bounds = bound(rows.p_run_corner[:, j], (q_le, q_lt, q_le, q_lt))
+            bounds = bound(rows.corners(j // per)[0][:, j % per], (q_le, q_lt, q_le, q_lt))
             live = np.flatnonzero(bounds > best)
             if live.size:
                 # the envelope is the tighter summary where the reference
                 # moves inside the run, as it does at every anchor under NRD
                 le, lt = q_le[live], q_lt[live]
                 bounds[live] = np.minimum(
-                    bounds[live], bound(rows.p_run_env[:, j], (le, lt, le, lt))
+                    bounds[live], bound(_envelope(*rows.rows("p", j)), (le, lt, le, lt))
                 )
             for r in np.nonzero(bounds > best)[0]:
                 heapq.heappush(heap, (-float(bounds[r]), 2, i * _SUB + int(r), j))
@@ -704,6 +743,7 @@ def _anchored_search(rows: _AnchorRows):
             if vals[jj] > best:
                 best, pair = float(vals[jj]), (i, j * _SUB + jj)
     counts["block_builds"] = rows.builds
+    counts["corner_blocks"] = len(rows.corner_cache)
     return best, pair, counts
 
 
@@ -738,9 +778,12 @@ def test_statistic(dataset: SurvivalDataset, theta0: Theta, design: str, q_grid,
     the incumbent is split into pairs of runs of 16 anchors bounded from
     their corner rows, then into single left anchors, and only a row whose
     bound still exceeds the incumbent is scored exactly.  Each bound costs
-    O(K) per pair for K time anchors, and anchor rows are rebuilt per
-    block, so no m x K matrix is held.  The result is the exact anchored
-    maximum; the counters of this work are returned with it.
+    O(K) per pair for K time anchors.  No m x K matrix is held: one sweep
+    keeps each block's start state and envelopes and its runs' boundary
+    reference, and the search builds the corners of the blocks it visits
+    and the rows of the runs it visits, keeping the last 32 runs.  The
+    result is the exact anchored maximum; the counters of this work and
+    the seconds spent building and searching are returned with it.
     """
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
@@ -756,9 +799,11 @@ def test_statistic(dataset: SurvivalDataset, theta0: Theta, design: str, q_grid,
     n = dataset.n
     d = dataset.d
     threshold = epsilon / 4.0
+    if d > 1:
+        raise DomainError("the anchored statistic supports d <= 1; use the metric for d = 2")
 
+    start = time.perf_counter()
     anchors_t = np.unique(np.concatenate([[0.0, theta0.horizon], times]))
-    K = len(anchors_t)
     atoms = _reference_atoms(dataset, q_grid)
     if atoms.d != d:
         raise DomainError(f"reference atoms have d={atoms.d}, data has d={d}")
@@ -769,29 +814,26 @@ def test_statistic(dataset: SurvivalDataset, theta0: Theta, design: str, q_grid,
         emp_lt = np.searchsorted(t_sorted, anchors_t, side="left") / n
         fmat = 1.0 - survival_matrix(theta0, atoms.nodes_array(), anchors_t)
         ref = atoms.weights_array() @ fmat
+        built = time.perf_counter()
         value, (ka, kb) = _best_time_interval(emp_le - ref, emp_lt - ref)
         rect = Rectangle(time=(anchors_t[ka], anchors_t[kb]), box=())
-        return TestStatResult(
-            sup_dev=value, threshold=threshold, phi=int(value > threshold),
-            argmax=rect, n=n, d=d, epsilon=epsilon,
+        counts = {}
+    else:
+        rows = _AnchorRows(times, dataset.covariates_array()[:, 0], atoms, theta0, anchors_t, design)
+        built = time.perf_counter()
+        _, (i_star, j_star), counts = _anchored_search(rows)
+        # recover the maximizing time interval from the winning anchor pair
+        p_le, p_lt = rows.rows("p", j_star // _SUB)
+        q_le, q_lt = rows.rows("q", i_star // _SUB)
+        value, (ka, kb) = _best_time_interval(
+            p_le[j_star % _SUB] - q_le[i_star % _SUB], p_lt[j_star % _SUB] - q_lt[i_star % _SUB]
         )
-    if d > 1:
-        raise DomainError("the anchored statistic supports d <= 1; use the metric for d = 2")
-
-    rows = _AnchorRows(times, dataset.covariates_array()[:, 0], atoms, theta0, anchors_t, design)
-    _, (i_star, j_star), counts = _anchored_search(rows)
-
-    # recover the maximizing time interval from the winning anchor pair
-    p_le, p_lt = rows.rows("p", j_star // _SUB)
-    q_le, q_lt = rows.rows("q", i_star // _SUB)
-    value, (ka, kb) = _best_time_interval(
-        p_le[j_star % _SUB] - q_le[i_star % _SUB], p_lt[j_star % _SUB] - q_lt[i_star % _SUB]
-    )
-    rect = Rectangle(
-        time=(anchors_t[ka], anchors_t[kb]),
-        box=((rows.anchors_x[i_star], rows.anchors_x[j_star]),),
-    )
+        rect = Rectangle(
+            time=(anchors_t[ka], anchors_t[kb]),
+            box=((rows.anchors_x[i_star], rows.anchors_x[j_star]),),
+        )
     return TestStatResult(
         sup_dev=value, threshold=threshold, phi=int(value > threshold),
         argmax=rect, n=n, d=d, epsilon=epsilon, **counts,
+        build_s=built - start, search_s=time.perf_counter() - built,
     )

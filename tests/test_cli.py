@@ -181,6 +181,22 @@ class TestIngestDataset:
         with pytest.raises(DomainError, match="record 1: time -1.0"):
             SurvivalDataset.from_csv(path)
 
+    def test_all_zero_times_need_a_sidecar(self, tmp_path):
+        # without a sidecar the horizon is the largest time, here 0
+        path = self.write(tmp_path, "t\n0.0\n0.0\n")
+        with pytest.raises(DomainError, match=r"data\.csv: every time is 0: without a sidecar "
+                                              r"the horizon is the largest time, which must be positive"):
+            SurvivalDataset.from_csv(path)
+        # a bad time is still named first
+        bad = self.write(tmp_path, "t\n0.0\n-1.0\n", name="bad.csv")
+        with pytest.raises(DomainError, match="record 1: time -1.0"):
+            SurvivalDataset.from_csv(bad)
+        (tmp_path / "data.csv.meta.json").write_text(json.dumps(
+            {"design": "NRD", "q_descriptor": {"family": "ingested", "n": 2, "d": 0}, "horizon": 1.0}
+        ))
+        ds = SurvivalDataset.from_csv(path)
+        assert ds.times == (0.0, 0.0) and ds.horizon == 1.0
+
     def test_non_numeric_names_row(self, tmp_path):
         path = self.write(tmp_path, "t,x1\n1.0,0.5\nfast,0.1\n")
         with pytest.raises(DomainError, match="line 3.*fast"):
@@ -321,13 +337,19 @@ class TestRun:
         }
         status, dirs = run_doc(tmp_path, doc)
         assert status == 0
-        report = json.loads((dirs[0] / "report.json").read_text())
+        report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject_constant)
         assert report["phi"] == 0
         assert report["sup_dev"] <= report["threshold"]
         # n = 400 gives 402 covariate anchors: seven blocks of 64
         assert report["block_pairs_bounded"] == 7 * 8 // 2
         assert 0 < report["rows_expanded"] <= report["sub_pairs_bounded"] * 16
         assert report["block_builds"] >= 7
+        timings = report["timings"]
+        assert set(timings) == {"build_s", "search_s", "corner_blocks"}
+        assert timings["build_s"] > 0 and timings["search_s"] > 0
+        # each block pair split builds the corners of its two blocks once
+        assert 1 <= timings["corner_blocks"] <= 7
+        assert report["sub_pairs_bounded"] <= timings["corner_blocks"] ** 2 * 16
 
     def test_test_stat_reads_ingested_file(self, tmp_path):
         theta0 = Theta.constant(2.0, 0, 10.0)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,6 +433,17 @@ def enumerate_anchored(dataset, theta0, atoms):
 # rows expanded by the search on the pruning guard's dataset: 3 when set
 ROWS_EXPANDED_CEILING = 64
 
+# test_every_bound_covers_its_pairs under RD, by cell count: sha256 of the
+# run corners and of the right runs' envelopes that level 1 reads,
+# recorded at commit c6f2411, whose construction sweep stored every run's
+# summaries.  Under NRD a run's rows evaluate their atoms' reference rows
+# again, which may differ in the last bits, so there the summaries are
+# only checked to cover.
+SUMMARY_DIGESTS = {
+    64: "a61902c7b9f8f04231e39ef81ff60170899db8d5d2147eaf166bbf2f1eafb36e",
+    2: "45e901fa80c49ea436486f668b6b42d927a288d84acdcb97a42201275e8a0b32",
+}
+
 
 class TestStatistic:
     def _uniform_dataset(self, theta0, n, seed):
@@ -552,26 +565,34 @@ class TestStatistic:
         rows = vc._AnchorRows(ds.times_array(), ds.covariates_array()[:, 0], atoms, theta0, anchors_t,
                               design)
         m, block, run = len(values), vc._BLOCK, vc._SUB
-        runs = -(-m // run)
+        blocks, runs = -(-m // block), -(-m // run)
+        assert not rows.corner_cache and not rows.cache
 
         def covers(bound, i0, i1, j0, j1):
             assert bound + rows.slack >= values[i0:i1, j0:j1].max()
 
-        # envelopes are the elementwise extremes of their rows
-        for side, block_env, run_env in (("p", rows.p_block, rows.p_run_env),
-                                         ("q", rows.q_block, rows.q_run_env)):
+        # block envelopes are the elementwise extremes of their rows
+        for side, block_env in (("p", rows.p_block), ("q", rows.q_block)):
             built = [rows.rows(side, r) for r in range(runs)]
             le_all = np.concatenate([x[0] for x in built])
             lt_all = np.concatenate([x[1] for x in built])
-            for size, env in ((block, block_env), (run, run_env)):
-                for g in range(env.shape[1]):
-                    le, lt = le_all[g * size: g * size + size], lt_all[g * size: g * size + size]
-                    extremes = (le.max(axis=0), lt.min(axis=0), le.min(axis=0), lt.max(axis=0))
-                    for got, want in zip(env, extremes):
-                        assert_allclose(got[g], want, rtol=0.0, atol=rows.slack)
+            for g in range(blocks):
+                le, lt = le_all[g * block: g * block + block], lt_all[g * block: g * block + block]
+                extremes = (le.max(axis=0), lt.min(axis=0), le.min(axis=0), lt.max(axis=0))
+                for got, want in zip(block_env, extremes):
+                    assert_allclose(got[g], want, rtol=0.0, atol=rows.slack)
+        # corners built on demand, and the envelopes of the right runs' rows
+        p_corner, q_corner = (np.concatenate(c, axis=1) for c in zip(*map(rows.corners, range(blocks))))
+        assert len(rows.corner_cache) == blocks
+        p_env = np.stack([np.stack(vc._envelope(*rows.rows("p", r))) for r in range(runs)], axis=1)
+        assert p_corner.shape == q_corner.shape == p_env.shape == (4, runs, len(anchors_t))
+        if design == "RD":
+            digest = hashlib.sha256()
+            for x in (p_corner, q_corner, p_env):
+                digest.update(x.tobytes())
+            assert digest.hexdigest() == SUMMARY_DIGESTS[cells]
         # every bound the search takes covers the pairs it stands for
-        for size, p, q in ((block, rows.p_block, rows.q_block),
-                           (run, rows.p_run_corner, rows.q_run_corner)):
+        for size, p, q in ((block, rows.p_block, rows.q_block), (run, p_corner, q_corner)):
             for jg in range(-(-m // size)):
                 for ig in range(jg + 1):
                     bound = vc._pair_bound(p[:, jg], q[:, ig])
@@ -579,7 +600,7 @@ class TestStatistic:
         for i in range(m):
             le, lt = (x[i % run] for x in rows.rows("q", i // run))
             for jr in range(i // run, runs):
-                for p in (rows.p_run_corner, rows.p_run_env):
+                for p in (p_corner, p_env):
                     bound = vc._pair_bound(p[:, jr], (le, lt, le, lt))
                     covers(bound, i, i + 1, jr * run, jr * run + run)
 
@@ -593,11 +614,14 @@ class TestStatistic:
         assert res.block_pairs_bounded == 32 * 33 // 2
 
     @pytest.mark.parametrize("omega, n, seed, epsilon, want", [
-        # recorded when every block built its own reference rows
+        # recorded when every block built its own reference rows; the share
+        # builds (last counter) were 51 and 50 while the construction sweep
+        # stored every run's corners and envelopes, and the blocks whose
+        # corners are built on demand are all 32 and 5 of 47
         (2.0, 2000, 2, 0.3, (0.03922665531404829, (0.022629350939928503, 1.2557450074174716),
-                             (0.25850636190238185, 0.9608195040934834), (528, 5976, 3, 51))),
+                             (0.25850636190238185, 0.9608195040934834), (528, 5976, 3, 32, 127))),
         (4.0, 3000, 3, 0.2, (0.26454024443918966, (4.2559547702804116e-06, 0.6675115527280868),
-                             (0.008039102514709406, 0.9915557317953035), (1128, 64, 2, 50))),
+                             (0.008039102514709406, 0.9915557317953035), (1128, 64, 2, 5, 55))),
     ])
     def test_rd_reference_rows_built_once(self, monkeypatch, omega, n, seed, epsilon, want):
         # the benchmark's anchored-test sizes: n = 2000 and 3000 against 64 cells
@@ -615,7 +639,7 @@ class TestStatistic:
         # each atom's row is built once, over the blocks' atom ranges
         assert sum(calls) == 64 and max(calls) < 64
         counters = (res.block_pairs_bounded, res.sub_pairs_bounded, res.rows_expanded,
-                    res.block_builds)
+                    res.corner_blocks, res.block_builds)
         assert (res.sup_dev, res.argmax.time, res.argmax.box[0], counters) == want
         # the per-block path (the NRD one) gives the same search, building
         # rows of the same atoms again
@@ -624,6 +648,20 @@ class TestStatistic:
         calls.clear()
         assert anchored_statistic(ds, theta0, "RD", None, epsilon=epsilon) == res
         assert sum(calls) > 64
+
+    def test_traced_peak_stays_below_the_run_summaries(self):
+        # the n = 3000 case above: with every run's corners and envelopes
+        # held, 77.5 MiB of them alone, the traced peak was 89.9 MiB
+        theta0 = Theta.constant(2.0, 1, 20.0)
+        truth = Theta.constant(4.0, 1, 20.0)
+        ds = generate_dataset(truth, 3000, "RD", UniformQ(1), horizon=20.0, seed=3)
+        tracemalloc.start()
+        try:
+            anchored_statistic(ds, theta0, "RD", None, epsilon=0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45 * 2 ** 20
 
     def test_argmax_rectangle_reproduces_value(self):
         theta0 = Theta.constant(omega=2.0, d=1, horizon=12.0)
@@ -641,8 +679,12 @@ class TestStatistic:
             "n", "d", "epsilon", "sup_dev", "phi", "threshold",
             "expected_dev_bound", "type1_bound",
             "block_pairs_bounded", "sub_pairs_bounded", "rows_expanded", "block_builds",
+            "timings",
         }
         assert rec["block_pairs_bounded"] == 1 and rec["block_builds"] >= 1
+        assert set(rec["timings"]) == {"build_s", "search_s", "corner_blocks"}
+        assert rec["timings"]["build_s"] > 0 and rec["timings"]["search_s"] > 0
+        assert rec["timings"]["corner_blocks"] == 1
         assert rec["n"] == 50
         assert rec["threshold"] == 0.05
 
