@@ -56,9 +56,6 @@ LOG2 = math.log(2.0)
 DEFAULT_J_MAX = 200
 DEFAULT_N_MAX = 40
 
-# Bisection width for the excursion-series validity threshold.
-TAU_STAR_TOL = 1e-6
-
 _PI2 = math.pi ** 2
 _PI4 = math.pi ** 4
 
@@ -79,33 +76,36 @@ def tau_star(d: int, m: float) -> float:
     """Smallest tau > 1 from which the excursion series is usable.
 
     The series needs its chaining exponent positive at the first term,
-    which reads 9 h_d(tau)^-2 m^2 / (4 pi^4) > log 2.  The left side is
-    continuous and strictly increasing for tau > 1 and unbounded, so a
-    threshold always exists; it is located by bisection to 1e-6.  When
-    the inequality already holds at tau = 1 (large m) the infimum over
-    tau > 1 is 1 and 1.0 is returned.
+    which reads 9 h_d(tau)^-2 m^2 / (4 pi^4) > log 2.  For tau > 1,
+    (d+1) / h_d(tau) = tau + log(1 - e^-tau) = log(e^tau - 1), so the
+    condition reads log(e^tau - 1) > c with
+    c = (d+1) (2 pi^2 / 3) sqrt(log 2) / m, whose root is softplus(c).
+    The condition is strict, so the double returned is the one near the
+    root at which the condition, as tail_bound_series evaluates it, holds
+    and fails at the previous double.  When it already holds at tau = 1
+    (large m) the infimum over tau > 1 is 1 and 1.0 is returned.
     """
     d = _check_d(d)
     if not (np.isfinite(m) and m > 0):
         raise DomainError(f"m must be a positive real, got {m}")
 
+    a_chain = 9.0 * m * m / (4.0 * _PI4)  # as tail_bound_series computes c0
+
     def holds(tau: float) -> bool:
-        return 9.0 * float(_inv_weight_sq(d, tau)) * m * m / (4.0 * _PI4) > LOG2
+        return a_chain * float(_inv_weight_sq(d, tau)) > LOG2
 
     if holds(1.0):
         return 1.0
-    lo, hi = 1.0, 2.0
-    while not holds(hi):
-        hi *= 2.0
-        if hi > 1e12:
-            raise DomainError("threshold search diverged; m is too small to be meaningful")
-    while hi - lo > TAU_STAR_TOL:
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    c = (d + 1) * (2.0 * _PI2 / 3.0) * math.sqrt(LOG2) / m
+    tau = c + math.log1p(math.exp(-c))
+    if not math.isfinite(tau * tau):  # the condition squares the weight
+        raise DomainError(f"the threshold for m={m!r} overflows; m is too small to be meaningful")
+    # rounding moves the evaluated condition a few doubles off the root
+    while holds(math.nextafter(tau, 0.0)):
+        tau = math.nextafter(tau, 0.0)
+    while not holds(tau):
+        tau = math.nextafter(tau, math.inf)
+    return tau
 
 
 @dataclass(frozen=True)
@@ -156,17 +156,6 @@ class TailSeriesBound:
     c0: float
     ktilde0: float
     threshold: float
-
-    def as_record(self) -> dict:
-        return {
-            "value": self.value,
-            "n_terms": len(self.terms),
-            "tail_cap": self.tail_cap,
-            "truncation_note": self.truncation_note,
-            "c0": self.c0,
-            "ktilde0": self.ktilde0,
-            "threshold": self.threshold,
-        }
 
 
 def tail_bound_series(spec: TailBoundSpec) -> TailSeriesBound:
@@ -247,16 +236,6 @@ class SmallBallBound:
     marginal: float
     series_sum: float
     diagnostic: str = ""
-
-    def as_record(self) -> dict:
-        return {
-            "bound": self.bound,
-            "psi": self.psi,
-            "converged": self.converged,
-            "marginal": self.marginal,
-            "series_sum": self.series_sum,
-            "diagnostic": self.diagnostic,
-        }
 
 
 def _increment_series_term(a: float, n: float) -> float:
@@ -358,16 +337,6 @@ class CentredEventBound:
     tail_value: float
     threshold: float
 
-    def as_record(self) -> dict:
-        return {
-            "lower": self.lower,
-            "small_ball_bound": self.small_ball.bound,
-            "psi": self.small_ball.psi,
-            "converged": self.small_ball.converged,
-            "tail_value": self.tail_value,
-            "threshold": self.threshold,
-        }
-
 
 def centred_event_bound(
     kernel: StationaryKernel,
@@ -436,17 +405,6 @@ class BoundReport:
     verdict: str
     jitter: float  # Cholesky jitter of the comparator's path sampler
     mc_seconds: float  # wall time of the comparator's Monte Carlo block loop
-
-    def as_record(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "analytic_value": self.analytic_value,
-            "mc_estimate": self.mc_estimate,
-            "ci": self.ci,
-            "verdict": self.verdict,
-            "jitter": self.jitter,
-            "mc_seconds": self.mc_seconds,
-        }
 
 
 def _report(lemma_id: str, analytic_value: float, rep, ok: bool) -> BoundReport:

@@ -23,7 +23,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -41,15 +41,16 @@ from .errors import ConfigError, GpHazardError
 from .gp_paths import TimeGrid, _covariance_cholesky, sample_path
 from .hazard import SurvivalDataset, Theta, UniformQ, generate_dataset
 from .inference import (
+    ExperimentReport,
     ExperimentSpec,
     McmcConfig,
     ModelPrior,
     OmegaPrior,
     consistency_experiment,
 )
-from .kernels import StationaryKernel, check_a1, check_sublinear_integral
+from .kernels import A1Report, StationaryKernel, SublinearReport, check_a1, check_sublinear_integral
 from .kl import BSetParams, analytic_kl_bounds, kl_terms, moments_for, sample_b_member
-from .vc import GridSpec, test_statistic
+from .vc import GridSpec, TestStatResult, deviation_bounds, test_statistic
 
 __all__ = [
     "COMMANDS",
@@ -282,7 +283,10 @@ def _kernel_from(name: str, lengthscale: float, variance: float) -> StationaryKe
 
 
 def _finite_or_null(value):
-    """value with every non-finite float inside it replaced by None."""
+    """value as JSON data: every dataclass inside it becomes its asdict,
+    and every non-finite float None."""
+    if is_dataclass(value):
+        value = asdict(value)
     if isinstance(value, float) and not math.isfinite(value):
         return None
     if isinstance(value, dict):
@@ -293,7 +297,8 @@ def _finite_or_null(value):
 
 
 def _write_json(directory: Path, name: str, payload) -> str:
-    """Write payload as strict JSON: non-finite floats become null."""
+    """Write payload as strict JSON: a result dataclass is written as its
+    fields, and non-finite floats become null."""
     text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
     (directory / name).write_text(text + "\n")
     return name
@@ -349,7 +354,7 @@ def _cmd_verify_bounds(p: dict, seed: int, out: Path):
         writer.writerow(["lemma_id", "analytic_value", "mc_estimate", "ci_halfwidth", "verdict"])
         for r in reports:
             writer.writerow([r.lemma_id, repr(r.analytic_value), repr(r.mc_estimate), repr(r.ci), r.verdict])
-    payload = {"reports": [r.as_record() for r in reports]}
+    payload = {"reports": reports}
     status = 0 if all(r.verdict == "pass" for r in reports) else 2
     return status, payload, ["bounds.csv"]
 
@@ -366,8 +371,17 @@ def _cmd_test_stat(p: dict, seed: int, out: Path):
         ).uniform(size=(p["n"], p["d"]))
         dataset = generate_dataset(theta0, p["n"], p["design"], q, p["horizon"], seed)
     result = test_statistic(dataset, theta0, dataset.design, None, p["epsilon"])
-    payload = result.as_record()
-    return (0 if result.phi == 0 else 2), payload, []
+    return (0 if result.phi == 0 else 2), _test_stat_record(result), []
+
+
+def _test_stat_record(result: TestStatResult) -> dict:
+    """The result's fields without the argmax rectangle, beside its
+    deviation bounds, with the search's timings nested."""
+    rec = asdict(result)
+    del rec["argmax"]
+    timings = {k: rec.pop(k) for k in ("build_s", "search_s", "corner_blocks")}
+    bounds = deviation_bounds(result.n, result.d, result.epsilon)
+    return {**rec, **asdict(bounds), "timings": timings}
 
 
 def _cmd_kl(p: dict, seed: int, out: Path):
@@ -409,7 +423,7 @@ def _cmd_kl(p: dict, seed: int, out: Path):
         "violations": violations,
         "k_cap": k_cap,
         "v_cap": v_cap,
-        "bounds": bounds.as_record(),
+        "bounds": bounds,
         "min_k_margin": min(r["k_margin"] for r in rows),
         "min_v_margin": min(r["v_margin"] for r in rows),
         "max_k_tail_bound": max(r["k_tail_bound"] for r in rows),
@@ -441,11 +455,42 @@ def _cmd_consistency(p: dict, seed: int, out: Path):
         seed=seed,
     )
     report = consistency_experiment(spec)
-    (out / "cells.csv").write_text(report.to_csv())
-    payload = report.as_record()
+    (out / "cells.csv").write_text(_cells_csv(report))
+    payload = _consistency_record(report)
     # every cell's chain factors the same kernels on the same knots
     payload["jitter"] = [_covariance_cholesky(k, spec.knots)[1] for k in kernels]
     return (0 if report.consistent_trend else 2), payload, ["cells.csv"]
+
+
+def _cells_csv(report: ExperimentReport) -> str:
+    lines = ["n,rep,outside_mass,acceptance_paths,wall_time"]
+    for c in report.cells:
+        lines.append(f"{c.n},{c.rep},{c.outside_mass!r},{c.acceptance_paths!r},{c.wall_time!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _consistency_record(report: ExperimentReport) -> dict:
+    """The ladder's verdict, per-n masses, cell count and failures, each
+    warned cell's chain warnings, and per-cell timings."""
+    return {
+        "spearman": report.spearman,
+        "consistent_trend": report.consistent_trend,
+        "epsilon": report.epsilon,
+        "per_n": {str(n): m for n, m in report.per_n},
+        "cells": len(report.cells),
+        "failures": sum(1 for c in report.cells if c.error),
+        "warnings": [
+            {"n": c.n, "rep": c.rep, "messages": list(c.warnings)}
+            for c in report.cells if c.warnings
+        ],
+        "timings": {
+            "chains_s": report.chains_s,
+            "cells": [
+                {"n": c.n, "rep": c.rep, "generate_s": c.generate_s, "score_s": c.score_s}
+                for c in report.cells
+            ],
+        },
+    }
 
 
 def _cmd_check_assumptions(p: dict, seed: int, out: Path):
@@ -455,11 +500,27 @@ def _cmd_check_assumptions(p: dict, seed: int, out: Path):
     passed = a1.eventually_ok and sub.passed
     payload = {
         "kernel": kernel.describe(),
-        "a1": a1.as_record(),
-        "sublinear": sub.as_record(),
+        "a1": _a1_record(a1),
+        "sublinear": _sublinear_record(sub),
         "passed": passed,
     }
     return (0 if passed else 2), payload, []
+
+
+def _a1_record(a1: A1Report) -> dict:
+    """The report's fields without the per-n rows."""
+    rec = asdict(a1)
+    del rec["rows"]
+    return rec
+
+
+def _sublinear_record(sub: SublinearReport) -> dict:
+    """Verdict and kernel, with each row's horizon and ratio flattened."""
+    rec = {"kernel": sub.kernel, "passed": sub.passed}
+    for i, row in enumerate(sub.rows):
+        rec[f"horizon_{i}"] = row.horizon
+        rec[f"ratio_{i}"] = row.ratio
+    return rec
 
 
 _DISPATCH = {

@@ -329,20 +329,6 @@ class EventProbReport:
     jitter: float
     seconds: float  # wall time of the Monte Carlo block loop
 
-    def as_record(self) -> dict:
-        rec = {
-            "p_joint": self.p_joint,
-            "ci_halfwidth": self.ci_halfwidth,
-            "reps": self.reps,
-            "weighted": self.weighted,
-            "jitter": self.jitter,
-            "seconds": self.seconds,
-        }
-        for i, (c, p) in enumerate(zip(self.constraints, self.p_marginals)):
-            rec[f"constraint_{i}"] = c
-            rec[f"p_marginal_{i}"] = p
-        return rec
-
 
 def mc_event_probability(
     kernel: StationaryKernel,

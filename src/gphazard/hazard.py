@@ -10,8 +10,8 @@ is available.  Paths are grid functions (GpPath) interpolated linearly,
 so the link is linear on each grid cell and every cumulative hazard is
 exact: the integral of a sigmoid is softplus.  One evaluator, law, gives
 Y, log sigmoid(Y) and the cumulative hazard for many covariate rows at
-shared times; survival_matrix, evaluate and HazardCurve (a one-row view)
-read from it, and every time outside [0, horizon], NaN too, is refused.
+shared times; survival_matrix and HazardCurve (a one-row view) read
+from it, and every time outside [0, horizon], NaN too, is refused.
 """
 
 from __future__ import annotations
@@ -315,15 +315,6 @@ def _laws(thetas, xs, ts) -> tuple:
     return y, y - soft, omega * integral
 
 
-@dataclass(frozen=True)
-class HazardPoint:
-    y: float
-    hazard: float
-    cum_hazard: float
-    survival: float
-    density: float
-
-
 class HazardCurve:
     """Hazard, cumulative hazard, survival and density for one (theta, x):
     a one-row view of law.
@@ -359,18 +350,6 @@ class HazardCurve:
 
     def density_at(self, t):
         return self.hazard_at(t) * self.survival_at(t)
-
-    def point(self, t: float) -> HazardPoint:
-        return evaluate(self.theta, self.x, t)
-
-
-def evaluate(theta: Theta, x, t: float) -> HazardPoint:
-    """Hazard, cumulative hazard, survival and density at one (x, t), from law."""
-    row = _as_covariate(x, theta.d).as_array()[None, :]
-    y, _, cum = (float(v[0, 0]) for v in law(theta, row, [float(t)]))
-    hazard = theta.omega * float(expit(y))
-    survival = float(np.exp(-cum))
-    return HazardPoint(y, hazard, cum, survival, hazard * survival)
 
 
 def survival_matrix(theta: Theta, xs, ts) -> np.ndarray:
@@ -460,8 +439,9 @@ class ProductBetaQ:
     def __post_init__(self):
         if len(self.alphas) != len(self.betas) or not self.alphas:
             raise DomainError("alphas and betas must be equal-length and nonempty")
-        if any(a <= 0 for a in self.alphas) or any(b <= 0 for b in self.betas):
-            raise DomainError("beta parameters must be positive")
+        shapes = np.asarray([*self.alphas, *self.betas], dtype=float)
+        if not np.all((shapes > 0) & (shapes < np.inf)):  # NaN fails too
+            raise DomainError("beta parameters must be finite and positive")
 
     @property
     def d(self) -> int:
@@ -487,10 +467,10 @@ class TableQ:
         probs = np.asarray(self.probs, dtype=float)
         if atoms.ndim != 2 or atoms.shape[0] != probs.size or not probs.size:
             raise DomainError("atoms must be (m, d) with one probability per atom")
-        if np.any(atoms < 0) or np.any(atoms > 1):
+        if not np.all((atoms >= 0) & (atoms <= 1)):  # NaN fails too
             raise DomainError("atoms must lie in [0,1]^d")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-            raise DomainError("probabilities must be nonnegative and sum to 1")
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
+            raise DomainError("probabilities must be finite, nonnegative and sum to 1")
         object.__setattr__(self, "atoms", tuple(tuple(row) for row in atoms))
         object.__setattr__(self, "probs", tuple(float(p) for p in probs))
 

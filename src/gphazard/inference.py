@@ -274,15 +274,6 @@ class McmcReport:
         """Always 1.0: the scale is an exact Gibbs draw, never rejected."""
         return 1.0
 
-    def as_record(self) -> dict:
-        return {
-            "n_draws": len(self.draws),
-            "acceptance_paths": self.acceptance_paths,
-            "warnings": list(self.warnings),
-            "n_knots": len(self.knots),
-            "prior_only": self.prior_only,
-        }
-
 
 def mcmc_run(
     dataset,
@@ -486,33 +477,6 @@ class ExperimentReport:
     consistent_trend: bool
     epsilon: float
     chains_s: float = 0.0    # every cell's chain, run in lockstep
-
-    def to_csv(self) -> str:
-        lines = ["n,rep,outside_mass,acceptance_paths,wall_time"]
-        for c in self.cells:
-            lines.append(f"{c.n},{c.rep},{c.outside_mass!r},{c.acceptance_paths!r},{c.wall_time!r}")
-        return "\n".join(lines) + "\n"
-
-    def as_record(self) -> dict:
-        return {
-            "spearman": self.spearman,
-            "consistent_trend": self.consistent_trend,
-            "epsilon": self.epsilon,
-            "per_n": {str(n): m for n, m in self.per_n},
-            "cells": len(self.cells),
-            "failures": sum(1 for c in self.cells if c.error),
-            "warnings": [
-                {"n": c.n, "rep": c.rep, "messages": list(c.warnings)}
-                for c in self.cells if c.warnings
-            ],
-            "timings": {
-                "chains_s": self.chains_s,
-                "cells": [
-                    {"n": c.n, "rep": c.rep, "generate_s": c.generate_s, "score_s": c.score_s}
-                    for c in self.cells
-                ],
-            },
-        }
 
 
 def consistency_experiment(spec: ExperimentSpec) -> ExperimentReport:

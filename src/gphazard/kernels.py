@@ -203,15 +203,6 @@ class A1Report:
     holds_from: int | None  # smallest n0 with the inequality holding on [n0, n_max]
     eventually_ok: bool     # the trailing run of passes reaches n_max
 
-    def as_record(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "n_max": self.n_max,
-            "all_pass": self.all_pass,
-            "holds_from": self.holds_from,
-            "eventually_ok": self.eventually_ok,
-        }
-
 
 def check_a1(kernel: StationaryKernel, n_max: int = A1_DEFAULT_NMAX) -> A1Report:
     """Check (kappa(0) - kappa(2^-n))^-1 >= n^6 for n = 1..n_max.
@@ -265,13 +256,6 @@ class SublinearReport:
     kernel: str
     rows: tuple
     passed: bool
-
-    def as_record(self) -> dict:
-        rec = {"kernel": self.kernel, "passed": self.passed}
-        for i, row in enumerate(self.rows):
-            rec[f"horizon_{i}"] = row.horizon
-            rec[f"ratio_{i}"] = row.ratio
-        return rec
 
 
 def _mean_kappa(kernel: StationaryKernel, horizon: float) -> float:

@@ -173,18 +173,6 @@ class KlTerms:
     sigma_min: float
     t_cut: float
 
-    def as_record(self) -> dict:
-        return {
-            "k": self.k,
-            "v": self.v,
-            "k_body": self.k_body,
-            "k_tail_bound": self.k_tail_bound,
-            "v2_body": self.v2_body,
-            "v2_tail_bound": self.v2_tail_bound,
-            "sigma_min": self.sigma_min,
-            "t_cut": self.t_cut,
-        }
-
 
 def _kl_rows(theta0: Theta, theta: Theta, rows: np.ndarray, t_cut: float) -> np.ndarray:
     """The KlTerms fields k .. sigma_min per covariate row, shape (7, m): one
@@ -240,14 +228,6 @@ class KlAggregate:
     v_weighted_partial: float | None = None
     v_weighted_tail_bound: float | None = None
     n: int | None = None
-
-    def as_record(self) -> dict:
-        rec = {"design": self.design, "value": self.value}
-        if self.design == "NRD":
-            rec["v_weighted_partial"] = self.v_weighted_partial
-            rec["v_weighted_tail_bound"] = self.v_weighted_tail_bound
-            rec["n"] = self.n
-        return rec
 
 
 def _design_rows(d: int, design: str, q_grid, xs) -> tuple:
@@ -315,18 +295,6 @@ class BSetReport:
     sup_gaps: tuple
     inf_values: tuple
 
-    def as_record(self) -> dict:
-        return {
-            "omega_ok": self.omega_ok,
-            "sup_ok": list(self.sup_ok),
-            "inf_ok": list(self.inf_ok),
-            "member": self.member,
-            "truncated": self.truncated,
-            "omega_gap": self.omega_gap,
-            "sup_gaps": list(self.sup_gaps),
-            "inf_values": list(self.inf_values),
-        }
-
 
 def b_set_membership(theta: Theta, theta0: Theta, params: BSetParams) -> BSetReport:
     """Check the scale band, the sup band on [0, tau], and the decay floor.
@@ -383,15 +351,6 @@ class LinkSupReport:
     bound: float
     passed: bool
     vacuous: bool
-
-    def as_record(self) -> dict:
-        return {
-            "max_sigma_gap": self.max_sigma_gap,
-            "max_logsigma_gap": self.max_logsigma_gap,
-            "bound": self.bound,
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-        }
 
 
 def link_sup_check(theta: Theta, theta0: Theta, params: BSetParams, x_samples) -> LinkSupReport:
@@ -457,15 +416,6 @@ class KlBounds:
     var_head_bound: float
     var_tail_bound: float
     k0: float
-
-    def as_record(self) -> dict:
-        return {
-            "head_bound": self.head_bound,
-            "tail_bound": self.tail_bound,
-            "var_head_bound": self.var_head_bound,
-            "var_tail_bound": self.var_tail_bound,
-            "k0": self.k0,
-        }
 
 
 def analytic_kl_bounds(params: BSetParams, omega0: float, moments: MomentInputs) -> KlBounds:
@@ -566,18 +516,6 @@ class MomentReport:
     ladder_decreasing: bool
     inconclusive: bool
     note: str
-
-    def as_record(self) -> dict:
-        return {
-            "a3_estimate": self.a3_estimate,
-            "a3prime_worst": self.a3prime_worst,
-            "a3_pass": self.a3_pass,
-            "a3prime_pass": self.a3prime_pass,
-            "truncation_ladder": [list(p) for p in self.truncation_ladder],
-            "ladder_decreasing": self.ladder_decreasing,
-            "inconclusive": self.inconclusive,
-            "note": self.note,
-        }
 
 
 def moment_checks(

@@ -132,8 +132,10 @@ class QAtoms:
         weights = np.asarray(self.weights, dtype=float)
         if len(nodes) != weights.size or not weights.size:
             raise DomainError("one weight per node required")
-        if np.any(weights < 0):
-            raise DomainError("weights must be nonnegative")
+        if not np.all((weights >= 0) & (weights < np.inf)):  # NaN fails too
+            raise DomainError("weights must be finite and nonnegative")
+        if not np.all((nodes >= 0) & (nodes <= 1)):  # NaN fails too
+            raise DomainError("nodes must lie in [0,1]^d")
         object.__setattr__(self, "nodes", tuple(tuple(r) for r in nodes))
         object.__setattr__(self, "weights", tuple(float(w) for w in weights))
 
@@ -391,8 +393,8 @@ def deviation_bounds(n: int, d: int, epsilon: float) -> DeviationBounds:
     supremum deviation; type1_bound = 2 exp(-n eps^2 / 2) bounds the
     rejection rate under the reference.
     """
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise DomainError(f"epsilon must be a positive real, got {epsilon}")
     sb = shatter_bound(n, d)
     expected = 2.0 * math.sqrt((math.log(2.0) + sb.log_value) / n)
     rate = 2.0 * math.exp(-n * epsilon ** 2 / 2.0)
@@ -424,28 +426,6 @@ class TestStatResult:
     # time sweep's rows) and then searching; not compared
     build_s: float = field(default=0.0, compare=False)
     search_s: float = field(default=0.0, compare=False)
-
-    def as_record(self) -> dict:
-        db = deviation_bounds(self.n, self.d, self.epsilon)
-        return {
-            "n": self.n,
-            "d": self.d,
-            "epsilon": self.epsilon,
-            "sup_dev": self.sup_dev,
-            "phi": self.phi,
-            "threshold": self.threshold,
-            "expected_dev_bound": db.expected_dev_bound,
-            "type1_bound": db.type1_bound,
-            "block_pairs_bounded": self.block_pairs_bounded,
-            "sub_pairs_bounded": self.sub_pairs_bounded,
-            "rows_expanded": self.rows_expanded,
-            "block_builds": self.block_builds,
-            "timings": {
-                "build_s": self.build_s,
-                "search_s": self.search_s,
-                "corner_blocks": self.corner_blocks,
-            },
-        }
 
 
 def _pair_bound(p, q) -> np.ndarray:
@@ -785,8 +765,8 @@ def test_statistic(dataset: SurvivalDataset, theta0: Theta, design: str, q_grid,
     result is the exact anchored maximum; the counters of this work and
     the seconds spent building and searching are returned with it.
     """
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise DomainError(f"epsilon must be a positive real, got {epsilon}")
     if dataset.n < 1:
         raise DomainError("dataset is empty")
     if design != dataset.design:

@@ -8,6 +8,7 @@ MC checks certify direction only.
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -67,6 +68,27 @@ class TestTauStar:
         t = tau_star(d, m)
         assert threshold_holds(d, m, t + 1e-3)
         assert not threshold_holds(d, m, t - 1e-3)
+
+    def test_first_double_of_the_strict_inequality(self):
+        # the condition as the series evaluates it, c0 > 0, holds at
+        # tau_star and fails one double below, over random (d, m)
+        rng = np.random.default_rng(20)
+        cases = [(0, 1.0 / 6.0), (0, 1.0), (2, 1.0), (5, 1e3 / 6.0)] + list(
+            zip(rng.integers(0, 7, 300).tolist(), (10.0 ** rng.uniform(-0.8, 3.0, 300)).tolist())
+        )
+        for d, m in cases:
+            t = tau_star(d, m)
+            if t == 1.0:
+                continue
+            a_chain = 9.0 * m * m / (4.0 * math.pi ** 4)
+            below = math.nextafter(t, 0.0)
+            assert a_chain * float(bounds._inv_weight_sq(d, below)) - LOG2 <= 0.0, (d, m)
+            assert tail_bound_series(TailBoundSpec(d, m, 1.0, t, j_max=1)).c0 > 0.0, (d, m)
+
+    def test_overflowing_threshold_refused(self):
+        assert math.isfinite(tau_star(0, 1e-150))
+        with pytest.raises(DomainError, match="overflows"):
+            tau_star(0, 1e-160)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -171,8 +193,8 @@ class TestTailBoundSeries:
 
     def test_record_round_trip(self):
         r = tail_bound_series(TailBoundSpec(d=0, m=1.0, kappa0=1.0, tau=50.0))
-        rec = json.loads(json.dumps(r.as_record()))
-        assert rec["n_terms"] == 201
+        rec = json.loads(json.dumps(asdict(r)))
+        assert len(rec["terms"]) == 201
         assert rec["value"] == pytest.approx(r.value)
         assert rec["threshold"] == pytest.approx(tau_star(0, 1.0))
 
@@ -248,7 +270,7 @@ class TestSmallBallLowerBound:
 
     def test_record_round_trip(self):
         s = small_ball_lower_bound(se_kernel(), 0, 10.0, 1.5)
-        rec = json.loads(json.dumps(s.as_record()))
+        rec = json.loads(json.dumps(asdict(s)))
         assert rec["converged"] is True
         assert rec["bound"] == pytest.approx(s.bound)
 
@@ -296,7 +318,7 @@ class TestCentredEventBound:
     def test_record_round_trip(self):
         thr = tau_star(0, 1.0 / 6.0)
         ce = centred_event_bound(se_kernel(), 0, 1.0, thr + 2.0)
-        rec = json.loads(json.dumps(ce.as_record()))
+        rec = json.loads(json.dumps(asdict(ce)))
         assert rec["threshold"] == pytest.approx(thr)
         assert rec["lower"] == pytest.approx(ce.lower)
 
@@ -352,7 +374,7 @@ class TestComparators:
 
     def test_report_record(self):
         rep = BoundReport("tail_series", 0.5, 0.4, 0.01, "pass", 1e-10, 0.25)
-        rec = json.loads(json.dumps(rep.as_record()))
+        rec = json.loads(json.dumps(asdict(rep)))
         assert rec == {
             "lemma_id": "tail_series",
             "analytic_value": 0.5,

@@ -18,8 +18,10 @@ from gphazard.cli import (
     emit_config,
     main,
     parse_config,
+    _write_json,
     run,
 )
+from gphazard.bounds import BoundReport
 from gphazard.errors import ConfigError, DomainError
 from gphazard.gp_paths import JITTER_FACTOR
 from gphazard.hazard import SurvivalDataset, Theta, UniformQ, generate_dataset
@@ -258,6 +260,78 @@ def run_doc(tmp_path, doc):
     root = tmp_path / "out"
     dirs = sorted(p for p in root.iterdir() if p.is_dir())
     return status, dirs
+
+
+def key_paths(value, prefix=""):
+    """Every leaf path of a JSON value; the items of a list share one path."""
+    if isinstance(value, dict) and value:
+        return set().union(*(key_paths(v, f"{prefix}/{k}") for k, v in value.items()))
+    if isinstance(value, list) and value:
+        return set().union(*(key_paths(v, f"{prefix}[]") for v in value))
+    return {prefix}
+
+
+_BOUND_KEYS = {"analytic_value", "ci", "jitter", "lemma_id", "mc_estimate", "mc_seconds", "verdict"}
+_A1_KEYS = {"all_pass", "eventually_ok", "holds_from", "kernel", "n_max"}
+
+# each command at a tiny config and the leaf paths of its report.json
+REPORT_LAYOUTS = {
+    "simulate": (
+        {"n": 20, "omega0": 2.0, "kernel": "se", "d": 1},
+        {"/d", "/dataset", "/design", "/horizon", "/jitter", "/kernel", "/n", "/truth"},
+    ),
+    "verify-bounds": (
+        {"reps": 400, "level": 6},
+        {f"/reports[]/{k}" for k in _BOUND_KEYS},
+    ),
+    "test-stat": (
+        {"epsilon": 0.3, "n": 100, "d": 1, "horizon": 10.0},
+        {"/block_builds", "/block_pairs_bounded", "/d", "/epsilon", "/expected_dev_bound", "/n",
+         "/phi", "/rows_expanded", "/sub_pairs_bounded", "/sup_dev", "/threshold",
+         "/timings/build_s", "/timings/corner_blocks", "/timings/search_s", "/type1_bound"},
+    ),
+    "kl": (
+        {"delta": 0.1, "tau": 2.0, "members": 2, "horizon": 12.0},
+        {"/bounds/head_bound", "/bounds/k0", "/bounds/tail_bound", "/bounds/var_head_bound",
+         "/bounds/var_tail_bound", "/k_cap", "/max_k_tail_bound", "/max_v2_tail_bound",
+         "/members", "/min_k_margin", "/min_v_margin", "/v_cap", "/violations"},
+    ),
+    "consistency": (
+        {"n_ladder": [20, 40], "replications": 1, "horizon": 8.0, "knots": 5,
+         "iterations": 60, "burn_in": 20, "metric_time_knots": 9},
+        {"/cells", "/consistent_trend", "/epsilon", "/failures", "/jitter[]", "/per_n/20",
+         "/per_n/40", "/spearman", "/timings/cells[]/generate_s", "/timings/cells[]/n",
+         "/timings/cells[]/rep", "/timings/cells[]/score_s", "/timings/chains_s", "/warnings"},
+    ),
+    "check-assumptions": (
+        {"kernel": "se"},
+        {"/kernel", "/passed", "/sublinear/kernel", "/sublinear/passed"}
+        | {f"/a1/{k}" for k in _A1_KEYS}
+        | {f"/sublinear/{k}_{i}" for k in ("horizon", "ratio") for i in range(3)},
+    ),
+}
+
+
+class TestReportLayout:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_report_keys_pinned(self, tmp_path, command):
+        parameters, paths = REPORT_LAYOUTS[command]
+        status, dirs = run_doc(tmp_path, {"command": command, "seed": 3, "parameters": parameters})
+        assert status in (0, 2)
+        report = json.loads((dirs[0] / "report.json").read_text(), parse_constant=reject_constant)
+        assert key_paths(report) == paths
+
+    def test_dataclass_written_as_fields_with_nan_as_null(self, tmp_path):
+        rep = BoundReport("tail_series", math.nan, 0.5, math.inf, "fail", 1e-10, 0.25)
+        _write_json(tmp_path, "r.json", {"reports": [rep], "bounds": rep})
+        text = (tmp_path / "r.json").read_text()
+        record = {
+            "lemma_id": "tail_series", "analytic_value": None, "mc_estimate": 0.5, "ci": None,
+            "verdict": "fail", "jitter": 1e-10, "mc_seconds": 0.25,
+        }
+        assert json.loads(text, parse_constant=reject_constant) == {
+            "reports": [record], "bounds": record,
+        }
 
 
 class TestRun:

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -429,4 +430,4 @@ class TestFactorCache:
         rep = mc_event_probability(k, 0, False, [SupConstraint((0.0, 1.0), 1.0, "le")],
                                    1.0, 0, 200, 0)
         assert rep.jitter == pytest.approx(10.0 * JITTER_FACTOR, rel=1e-12)
-        assert rep.as_record()["jitter"] == rep.jitter
+        assert asdict(rep)["jitter"] == rep.jitter

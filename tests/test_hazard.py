@@ -22,7 +22,6 @@ from gphazard.hazard import (
     TableQ,
     Theta,
     UniformQ,
-    evaluate,
     generate_dataset,
     law,
     mc_mean_hazard,
@@ -148,23 +147,23 @@ class TestThetaAndCovariate:
 class TestEvaluate:
     def test_exponential_model_exact(self):
         th = Theta.constant(2.0, d=1, horizon=20.0, level=6)
-        for t in (0.0, 0.5, 1.0, 7.3, 20.0):
-            pt = evaluate(th, (0.4,), t)
-            assert pt.hazard == 1.0
-            assert abs(pt.cum_hazard - t) < 1e-9
-            assert_allclose(pt.survival, math.exp(-t), rtol=1e-9)
+        ts = np.array([0.0, 0.5, 1.0, 7.3, 20.0])
+        y, _, cum = law(th, [(0.4,)], ts)
+        assert np.all(th.omega * expit(y) == 1.0)
+        assert np.all(np.abs(cum[0] - ts) < 1e-9)
+        assert_allclose(survival_matrix(th, [(0.4,)], ts)[0], np.exp(-ts), rtol=1e-9)
 
     def test_survival_starts_at_one(self):
-        pt = evaluate(random_theta(1), (0.5,), 0.0)
-        assert pt.cum_hazard == 0.0
-        assert pt.survival == 1.0
+        th = random_theta(1)
+        assert law(th, [(0.5,)], [0.0])[2][0, 0] == 0.0
+        assert survival_matrix(th, [(0.5,)], [0.0])[0, 0] == 1.0
 
     def test_large_path_value_saturates_to_omega(self):
         grid = DyadicGrid(1.0, 2)
         th = Theta(3.0, (GpPath(grid, (10.0,) * 5),))
-        pt = evaluate(th, (), 0.5)
-        assert_allclose(pt.hazard, 3.0 * (1.0 / (1.0 + math.exp(-10.0))), rtol=1e-12)
-        assert pt.hazard < 3.0
+        hazard = th.omega * expit(law(th, [()], [0.5])[0][0, 0])
+        assert_allclose(hazard, 3.0 * (1.0 / (1.0 + math.exp(-10.0))), rtol=1e-12)
+        assert hazard < 3.0
 
     def test_hazard_strictly_inside_zero_omega(self):
         th = random_theta(5, d=2, omega=4.0)
@@ -204,16 +203,16 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             curve.cum_hazard_at(th.horizon + 0.1)
         with pytest.raises(DomainError):
-            evaluate(th, (0.5,), -0.5)
+            law(th, [(0.5,)], [-0.5])
         for refuse in (curve.y_at, curve.hazard_at, curve.cum_hazard_at,
-                       lambda t: evaluate(th, (0.5,), t)):
+                       lambda t: law(th, [(0.5,)], [t])):
             with pytest.raises(DomainError):
                 refuse(math.nan)
 
     def test_covariate_dimension_checked(self):
         th = random_theta(4, d=1)
         with pytest.raises(DomainError):
-            evaluate(th, (0.2, 0.8), 1.0)
+            law(th, [(0.2, 0.8)], [1.0])
 
 
 def mp_mean_sigmoid(y0, y1):
@@ -397,6 +396,19 @@ class TestDatasets:
         assert abs(draws.mean() - 0.75) < 0.03
         with pytest.raises(DomainError):
             TableQ(((0.5,),), (0.9,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_laws_refuse_non_finite_parameters(self, bad):
+        with pytest.raises(DomainError, match="probabilities must be finite"):
+            TableQ(((0.5,),), (bad,))
+        with pytest.raises(DomainError, match="probabilities must be finite"):
+            TableQ(((0.2,), (0.7,)), (bad, 0.5))
+        with pytest.raises(DomainError, match="atoms must lie in"):
+            TableQ(((bad,),), (1.0,))
+        with pytest.raises(DomainError, match="beta parameters must be finite and positive"):
+            ProductBetaQ((bad,), (1.0,))
+        with pytest.raises(DomainError, match="beta parameters must be finite and positive"):
+            ProductBetaQ((2.0, 1.0), (1.0, bad))
 
     def test_generation_error_when_censoring_persists(self):
         # hazard ~ 1e-3 on a short grid: every retry stays censored

@@ -9,6 +9,7 @@ exercise every displayed inequality on sampled members.
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ class TestKlTerms:
 
     def test_record_is_flat_json(self):
         theta0, theta1 = exp_pair()
-        rec = kl_terms(theta0, theta1, ()).as_record()
+        rec = asdict(kl_terms(theta0, theta1, ()))
         assert set(rec) == {
             "k", "v", "k_body", "k_tail_bound", "v2_body", "v2_tail_bound",
             "sigma_min", "t_cut",
@@ -468,7 +469,7 @@ class TestBSetMembership:
             b_set_membership(self.theta0, self.theta0, BSetParams(0.1, 2.0, 0))
 
     def test_record_is_flat_json(self):
-        rec = b_set_membership(self.theta0, self.theta0, self.params).as_record()
+        rec = asdict(b_set_membership(self.theta0, self.theta0, self.params))
         assert rec["member"] is True
         json.dumps(rec)
 
@@ -535,7 +536,7 @@ class TestLinkSupCheck:
 
     def test_record_is_flat_json(self):
         theta = Theta.constant(2.0, 0, 8.0)
-        rec = link_sup_check(theta, theta, BSetParams(0.1, 2.0, 0), [()]).as_record()
+        rec = asdict(link_sup_check(theta, theta, BSetParams(0.1, 2.0, 0), [()]))
         json.dumps(rec)
 
 
@@ -585,9 +586,9 @@ class TestAnalyticKlBounds:
             analytic_kl_bounds(BSetParams(0.1, 2.0, 0), 0.0, MomentInputs(0, 0, 0, 0))
 
     def test_record_is_flat_json(self):
-        rec = analytic_kl_bounds(
+        rec = asdict(analytic_kl_bounds(
             BSetParams(0.1, 2.0, 0), 2.0, MomentInputs(1, 0.1, 0.1, 2)
-        ).as_record()
+        ))
         assert isinstance(rec, dict) and "head_bound" in rec
         json.dumps(rec)
 
@@ -680,7 +681,7 @@ class TestMomentChecks:
 
     def test_record_is_flat_json(self):
         theta0 = Theta.constant(2.0, 0, 40.0)
-        json.dumps(moment_checks(theta0, "NRD", xs=[()], m=10.0).as_record())
+        json.dumps(asdict(moment_checks(theta0, "NRD", xs=[()], m=10.0)))
 
 
 class TestSampleBMember:

@@ -9,6 +9,7 @@ from scipy import stats
 
 from conftest import brute_metric
 from gphazard import vc
+from gphazard.cli import _test_stat_record
 from gphazard.errors import CapacityError, DomainError
 from gphazard.gp_paths import DyadicGrid, sample_path
 from gphazard.hazard import (
@@ -110,6 +111,20 @@ class TestQAtoms:
         assert nrd.nodes == ((0.4,), (0.6,))
         with pytest.raises(DomainError):
             resolve_atoms("XX", rows)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_refuses_bad_weights(self, bad):
+        with pytest.raises(DomainError, match="weights must be finite and nonnegative"):
+            QAtoms(nodes=((0.5,),), weights=(bad,))
+        with pytest.raises(DomainError, match="weights must be finite and nonnegative"):
+            q_atoms_from_rows([[0.2], [0.6]], weights=[0.5, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.5])
+    def test_refuses_nodes_outside_the_cube(self, bad):
+        with pytest.raises(DomainError, match=r"nodes must lie in \[0,1\]\^d"):
+            QAtoms(nodes=((bad,),), weights=(1.0,))
+        with pytest.raises(DomainError, match=r"nodes must lie in \[0,1\]\^d"):
+            QAtoms(nodes=((0.5, 0.5), (0.2, bad)), weights=(0.5, 0.5))
 
 
 class TestMeasure:
@@ -674,7 +689,7 @@ class TestStatistic:
     def test_as_record(self):
         theta0 = Theta.constant(omega=2.0, d=1, horizon=12.0)
         ds = self._uniform_dataset(theta0, 50, seed=19)
-        rec = anchored_statistic(ds, theta0, "RD", None, epsilon=0.2).as_record()
+        rec = _test_stat_record(anchored_statistic(ds, theta0, "RD", None, epsilon=0.2))
         assert set(rec) == {
             "n", "d", "epsilon", "sup_dev", "phi", "threshold",
             "expected_dev_bound", "type1_bound",
@@ -709,3 +724,12 @@ class TestStatistic:
             anchored_statistic(unknown, theta0, "RD", None, epsilon=0.2)
         ok = anchored_statistic(unknown, theta0, "RD", UniformQ(1), epsilon=0.2)
         assert ok.n == 1
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_refused(self, epsilon):
+        theta0 = Theta.constant(omega=2.0, d=1, horizon=6.0)
+        ds = self._uniform_dataset(theta0, 20, seed=21)
+        with pytest.raises(DomainError, match="epsilon must be a positive real"):
+            anchored_statistic(ds, theta0, "RD", None, epsilon)
+        with pytest.raises(DomainError, match="epsilon must be a positive real"):
+            deviation_bounds(20, 1, epsilon)
