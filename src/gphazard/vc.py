@@ -11,7 +11,8 @@ parameter over rectangles anchored on the data coordinates.  Its maximum
 is found exactly by a best-first branch and bound over covariate anchor
 pairs, with the time axis swept exactly per pair: anchor rows come from
 one blockwise provider, and pairs are bounded on blocks of 64 anchors,
-then on runs of 16, then row by row, before any pair is scored.
+then on runs of 16, then row by row, before any pair is scored; each
+bound is taken on a coarsened time axis first.
 """
 
 from __future__ import annotations
@@ -44,14 +45,16 @@ Q_CELLS_2D = 16
 
 # Anchored search: anchor rows are built and bounded in blocks of _BLOCK
 # anchors, refined into runs of _SUB anchors; the rows of the last
-# _CACHE_RUNS runs the search built are kept.  On the benchmark's null
-# case at n = 2000 the search builds rows of 52 runs: keeping 32 rather
-# than 64 lowers its traced peak from 52 to 43 MiB for 11 more builds.
-# NRD at n = 2000 builds as often with 32 as with 64; with 16 it would
-# evaluate more reference rows.
+# _CACHE_RUNS runs the search built are kept.  Every bound is taken first
+# on a time axis coarsened into runs of _COARSE time anchors.  On the
+# benchmark's null case at n = 2000 the search reads the rows of 21 runs,
+# so 32 keeps them all and each is built once, at a traced peak of 37 MiB;
+# keeping 16 builds 6 more times (34 MiB), keeping 8 builds 24 more
+# (30 MiB).  NRD at n = 2000 builds as often with 16 as with 64.
 _BLOCK = 64
 _SUB = 16
 _CACHE_RUNS = 32
+_COARSE = 16
 
 # Parameters are scored in batches whose largest table holds at most this
 # many doubles (256 KiB), so memory stays flat in the number of draws; at
@@ -134,6 +137,9 @@ class QAtoms:
             raise DomainError("one weight per node required")
         if not np.all((weights >= 0) & (weights < np.inf)):  # NaN fails too
             raise DomainError("weights must be finite and nonnegative")
+        total = float(weights.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise DomainError(f"weights must sum to 1, got {total!r}")
         if not np.all((nodes >= 0) & (nodes <= 1)):  # NaN fails too
             raise DomainError("nodes must lie in [0,1]^d")
         object.__setattr__(self, "nodes", tuple(tuple(r) for r in nodes))
@@ -182,7 +188,8 @@ def q_atoms_from_law(law, cells_per_axis: int | None = None) -> QAtoms:
 
 
 def q_atoms_from_rows(rows, weights=None) -> QAtoms:
-    """Equal-weight atoms at fixed covariate rows (the fixed-design case)."""
+    """Equal-weight atoms at fixed covariate rows (the fixed-design case),
+    or atoms with the given weights, which must sum to 1."""
     rows = np.asarray(rows, dtype=float).reshape(len(rows), -1)
     n = len(rows)
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
@@ -414,14 +421,16 @@ class TestStatResult:
     d: int
     epsilon: float
     # anchored-search work: pairs of 64-anchor blocks and of 16-anchor runs
-    # bounded, left anchors scored exactly against a run, 2-D share builds
-    # and blocks whose run corners were built; zero at d = 0, where no
-    # covariate pair is searched
+    # bounded, left anchors scored exactly against a run, 2-D share builds,
+    # blocks whose run corners were built and nodes whose coarse bound was
+    # refined to the full time axis; zero at d = 0, where no covariate pair
+    # is searched
     block_pairs_bounded: int = 0
     sub_pairs_bounded: int = 0
     rows_expanded: int = 0
     block_builds: int = 0
     corner_blocks: int = 0
+    fine_bounds: int = 0
     # seconds spent building the anchor rows' kept summaries (at d = 0 the
     # time sweep's rows) and then searching; not compared
     build_s: float = field(default=0.0, compare=False)
@@ -444,6 +453,24 @@ def _pair_bound(p, q) -> np.ndarray:
     up = (p[0] - q[2]) - np.minimum.accumulate(p[1] - q[3], axis=-1)
     down = np.maximum.accumulate(p[3] - q[1], axis=-1) - (p[2] - q[0])
     return np.maximum(up.max(axis=-1), down.max(axis=-1))
+
+
+def _coarse(summary) -> np.ndarray:
+    """A summary on a time axis coarsened into runs of _COARSE anchors.
+
+    Each component takes the extreme over a run that can only raise
+    _pair_bound (the largest le_up and lt_down, the smallest lt_up and
+    le_down), so the coarse bound of two coarse summaries is never below
+    the bound of the summaries, as computed, and costs 1/_COARSE of it.
+    Leading axes are kept; a short last run is reduced as it is.
+    """
+    at = np.arange(0, summary[0].shape[-1], _COARSE)
+    return np.stack([
+        extreme.reduceat(component, at, axis=-1)
+        for extreme, component in zip(
+            (np.maximum, np.minimum, np.minimum, np.maximum), summary
+        )
+    ])
 
 
 def _best_time_interval(u: np.ndarray, w: np.ndarray):
@@ -479,19 +506,21 @@ class _AnchorRows:
     to that state.  One sweep at construction keeps, per block, its start
     state, the running reference R at the first and last anchor of each of
     its runs of _SUB, and per side the elementwise envelope of its rows
-    (see _pair_bound).  While the reference term stays the same the shares
-    only grow, so each extreme is taken at the ends of those stretches.
-    No m x K matrix is held; the rest is built on demand:
+    (see _pair_bound) and that envelope's coarse summary (see _coarse).
+    While the reference term stays the same the shares only grow, so each
+    extreme is taken at the ends of those stretches.  No m x K matrix is
+    held; the rest is built on demand:
       - a block's run corners (corners), when the search first splits a
-        block pair that reads them, kept for every block visited.  The
-        mass of [T_a, T_b] grows with the box, so S at r1 minus R at r0
-        bounds every row's mass of the run r0..r1 from above and S at r0
-        minus R at r1 from below.  Corners are far tighter than envelopes
-        on runs where the reference stays flat, and far looser on blocks.
-        Their shares are counted again and their R is the sweep's, so no
-        reference row is evaluated for them.
+        block pair that reads them, kept with their coarse summaries for
+        every block visited.  The mass of [T_a, T_b] grows with the box,
+        so S at r1 minus R at r0 bounds every row's mass of the run r0..r1
+        from above and S at r0 minus R at r1 from below.  Corners are far
+        tighter than envelopes on runs where the reference stays flat, and
+        far looser on blocks.  Their shares are counted again and their R
+        is the sweep's, so no reference row is evaluated for them.
       - a run's rows (rows), with R carried on from the sweep's value at
-        the run's first anchor; the last _CACHE_RUNS runs built are kept.
+        the run's first anchor; the last _CACHE_RUNS runs built are kept,
+        each with the one summary of it that the search reads.
     Builds write into reused buffers, because fresh pages cost more than
     the arithmetic.
     """
@@ -541,7 +570,7 @@ class _AnchorRows:
     def _sweep(self) -> None:
         """Record every block's start state, its runs' boundary R as
         (atom indices, rows), and per side its (4, blocks, K) envelopes in
-        _pair_bound's order."""
+        _pair_bound's order and their coarse summaries."""
         K, node_pos = self.K, self.node_pos
         nblock = -(-self.m // _BLOCK)
         self.p_block, self.q_block = np.empty((2, 4, nblock, K))
@@ -571,6 +600,7 @@ class _AnchorRows:
                 [node[r] for node in (self.node_lo, self.node_hi) for r in (r0, r1)]
             ))
             self.run_refs.append((kept, ref[kept - node_pos[s]]))
+        self.p_coarse, self.q_coarse = _coarse(self.p_block), _coarse(self.q_block)
 
     def _reference(self, a: int, b: int) -> np.ndarray:
         """Weighted reference CDF rows of atoms a..b-1."""
@@ -608,8 +638,9 @@ class _AnchorRows:
         return refs[np.searchsorted(kept, atoms)]
 
     def corners(self, block: int) -> tuple:
-        """(p, q) run corners of one block, each (4, runs, K) in
-        _pair_bound's order: built on first use, then kept."""
+        """(p, q, coarse p, coarse q) run corners of one block, each
+        (4, runs, K) in _pair_bound's order or its coarse summary: built on
+        first use, then kept."""
         if block not in self.corner_cache:
             s = block * _BLOCK
             e = min(self.m, s + _BLOCK)
@@ -623,12 +654,14 @@ class _AnchorRows:
                 ref0, ref1 = (self._kept_reference(block, node[r]) for r in (r0, r1))
                 sides.append(np.stack((s1[:, 1:] - ref0, s1[:, :-1] - ref0,
                                        s0[:, 1:] - ref1, s0[:, :-1] - ref1)))
-            self.corner_cache[block] = tuple(sides)
+            self.corner_cache[block] = (*sides, *map(_coarse, sides))
         return self.corner_cache[block]
 
     def rows(self, side: str, run: int):
-        """(le, lt) rows of one side ("p" or "q") for one run of _SUB
-        anchors.  The rows returned by the last two calls stay valid: a
+        """(le, lt, summary) of one side ("p" or "q") for one run of _SUB
+        anchors: its rows, and the summary the search reads of them, the
+        run's envelope on the right (p) side and each row's coarse summary
+        on the left (q).  What the last two calls returned stays valid: a
         build overwrites only the least recently used of at least two
         cached runs."""
         key = (side, run)
@@ -636,7 +669,7 @@ class _AnchorRows:
         if key in self.cache:
             self.cache.move_to_end(key)
         else:
-            out = (self.cache.popitem(last=False)[1] if len(self.cache) >= _CACHE_RUNS
+            out = (self.cache.popitem(last=False)[1][0] if len(self.cache) >= _CACHE_RUNS
                    else np.empty((2, _SUB, self.K)))
             start = s - s % _BLOCK
             share = self._shares(start, np.arange(s - start, e - start + 1))
@@ -648,11 +681,13 @@ class _AnchorRows:
             # indices are in range by construction; "clip" skips the
             # buffered bounds check that out= would otherwise cost
             gathered = np.take(ref, node[s:e] - a, axis=0, out=self._ref[: e - s], mode="clip")
-            np.subtract(shifted[:, 1:], gathered, out=out[0, : e - s])
-            np.subtract(shifted[:, :-1], gathered, out=out[1, : e - s])
-            self.cache[key] = out
-        le, lt = self.cache[key][:, : e - s]
-        return le, lt
+            le, lt = out[:, : e - s]
+            np.subtract(shifted[:, 1:], gathered, out=le)
+            np.subtract(shifted[:, :-1], gathered, out=lt)
+            self.cache[key] = (out, _envelope(le, lt) if side == "p" else _coarse((le, lt, le, lt)))
+        out, summary = self.cache[key]
+        le, lt = out[:, : e - s]
+        return le, lt, summary
 
 
 def _envelope(le: np.ndarray, lt: np.ndarray) -> tuple:
@@ -665,14 +700,18 @@ def _anchored_search(rows: _AnchorRows):
     """Best-first branch and bound over anchor pairs i <= j; returns the
     best value, (i*, j*) and the search counters.
 
-    Every pair of blocks of _BLOCK anchors is bounded from the envelopes
-    the sweep kept first; a block pair above the incumbent is split into
-    its pairs of runs of _SUB anchors, bounded from corners that the
-    first split to read them builds; a run pair into its left rows, each
-    bounded exactly on the left and from the right run's corners, then
-    from the envelope of the right run's rows; and a row is expanded
-    exactly against those rows.  Nodes leave a heap in order of bound, so
-    only nodes whose bound exceeds the final maximum are ever split or
+    Nodes are pairs of blocks of _BLOCK anchors, pairs of runs of _SUB
+    anchors, and left anchors against a right run.  Every block pair is
+    bounded from the envelopes the sweep kept first; a block pair above
+    the incumbent is split into its run pairs, bounded from corners that
+    the first split to read them builds; a run pair into its left rows,
+    each bounded from the right run's corners and, where that bound is
+    above the incumbent, from the envelope of the right run's rows; and a
+    row is expanded exactly against those rows.  A node enters the heap on
+    its bound on the coarse time axis (see _coarse); when it reaches the
+    top it is bounded again on the full axis and goes back if it still
+    beats the incumbent, so nodes are expanded in order of their full
+    bound, only those whose full bound exceeds the final maximum are
     expanded, and only their blocks' corners and their runs' rows are
     built.  Every bound carries the rows' rounding allowance, so the
     result is the largest computed pair value.
@@ -683,40 +722,50 @@ def _anchored_search(rows: _AnchorRows):
         return _pair_bound(p, q) + rows.slack
 
     heap = []
-    for jb in range(rows.p_block.shape[1]):
-        bounds = bound(rows.p_block[:, jb], rows.q_block[:, : jb + 1])
-        heap.extend((-float(v), 0, ib, jb) for ib, v in enumerate(bounds))
+    for jb in range(rows.p_coarse.shape[1]):
+        bounds = bound(rows.p_coarse[:, jb], rows.q_coarse[:, : jb + 1])
+        heap.extend((-float(v), 0, ib, jb, False) for ib, v in enumerate(bounds))
     heapq.heapify(heap)
-    counts = {"block_pairs_bounded": len(heap), "sub_pairs_bounded": 0, "rows_expanded": 0}
+    counts = {"block_pairs_bounded": len(heap), "sub_pairs_bounded": 0, "rows_expanded": 0,
+              "fine_bounds": 0}
     best, pair = -np.inf, None
     while heap and -heap[0][0] > best:
-        _, level, i, j = heapq.heappop(heap)
-        if level == 0:
-            p, q = rows.corners(j)[0], rows.corners(i)[1]
+        _, level, i, j, fine = heapq.heappop(heap)
+        if not fine:
+            counts["fine_bounds"] += 1
+            if level == 0:
+                v = bound(rows.p_block[:, j], rows.q_block[:, i])
+            elif level == 1:
+                v = bound(rows.corners(j // per)[0][:, j % per],
+                          rows.corners(i // per)[1][:, i % per])
+            else:
+                le, lt, _ = rows.rows("q", i // _SUB)
+                le, lt = le[i % _SUB], lt[i % _SUB]
+                row = (le, lt, le, lt)
+                v = bound(rows.corners(j // per)[0][:, j % per], row)
+                if v > best:
+                    # the envelope is the tighter summary where the reference
+                    # moves inside the run, as it does at every anchor under NRD
+                    v = min(v, bound(rows.rows("p", j)[2], row))
+            if v > best:
+                heapq.heappush(heap, (-float(v), level, i, j, True))
+        elif level == 0:
+            p, q = rows.corners(j)[2], rows.corners(i)[3]
             iruns = np.arange(i * per, i * per + q.shape[1])
             jruns = np.arange(j * per, j * per + p.shape[1])
             bounds = bound(p[:, None], q[:, :, None])
             counts["sub_pairs_bounded"] += bounds.size
             for a, b in zip(*np.nonzero((bounds > best) & (iruns[:, None] <= jruns[None]))):
-                heapq.heappush(heap, (-float(bounds[a, b]), 1, int(iruns[a]), int(jruns[b])))
+                heapq.heappush(heap, (-float(bounds[a, b]), 1, int(iruns[a]), int(jruns[b]), False))
         elif level == 1:
-            q_le, q_lt = rows.rows("q", i)
-            bounds = bound(rows.corners(j // per)[0][:, j % per], (q_le, q_lt, q_le, q_lt))
-            live = np.flatnonzero(bounds > best)
-            if live.size:
-                # the envelope is the tighter summary where the reference
-                # moves inside the run, as it does at every anchor under NRD
-                le, lt = q_le[live], q_lt[live]
-                bounds[live] = np.minimum(
-                    bounds[live], bound(_envelope(*rows.rows("p", j)), (le, lt, le, lt))
-                )
+            bounds = bound(rows.corners(j // per)[2][:, j % per], rows.rows("q", i)[2])
             for r in np.nonzero(bounds > best)[0]:
-                heapq.heappush(heap, (-float(bounds[r]), 2, i * _SUB + int(r), j))
+                heapq.heappush(heap, (-float(bounds[r]), 2, i * _SUB + int(r), j, False))
         else:
             counts["rows_expanded"] += 1
-            q_le, q_lt = rows.rows("q", i // _SUB)
+            q_le, q_lt, _ = rows.rows("q", i // _SUB)
             q_le, q_lt = q_le[i % _SUB], q_lt[i % _SUB]
-            p_le, p_lt = rows.rows("p", j)
+            p_le, p_lt, _ = rows.rows("p", j)
             vals = _pair_bound((p_le, p_lt, p_le, p_lt), (q_le, q_lt, q_le, q_lt))
             vals[np.arange(j * _SUB, j * _SUB + len(vals)) < i] = -np.inf
             jj = int(np.argmax(vals))
@@ -757,13 +806,15 @@ def test_statistic(dataset: SurvivalDataset, theta0: Theta, design: str, q_grid,
     of 64 anchors is bounded from elementwise envelopes, a block pair above
     the incumbent is split into pairs of runs of 16 anchors bounded from
     their corner rows, then into single left anchors, and only a row whose
-    bound still exceeds the incumbent is scored exactly.  Each bound costs
-    O(K) per pair for K time anchors.  No m x K matrix is held: one sweep
-    keeps each block's start state and envelopes and its runs' boundary
-    reference, and the search builds the corners of the blocks it visits
-    and the rows of the runs it visits, keeping the last 32 runs.  The
-    result is the exact anchored maximum; the counters of this work and
-    the seconds spent building and searching are returned with it.
+    bound still exceeds the incumbent is scored exactly.  Each of these
+    enters the search on its bound over runs of 16 time anchors, O(K/16)
+    per pair for K time anchors, and pays the O(K) bound only when it
+    reaches the top (fine_bounds counts these).  No m x K matrix is held:
+    one sweep keeps each block's start state and envelopes and its runs'
+    boundary reference, and the search builds the corners of the blocks it
+    visits and the rows of the runs it visits, keeping the last 32 runs.
+    The result is the exact anchored maximum; the counters of this work
+    and the seconds spent building and searching are returned with it.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise DomainError(f"epsilon must be a positive real, got {epsilon}")
@@ -803,8 +854,8 @@ def test_statistic(dataset: SurvivalDataset, theta0: Theta, design: str, q_grid,
         built = time.perf_counter()
         _, (i_star, j_star), counts = _anchored_search(rows)
         # recover the maximizing time interval from the winning anchor pair
-        p_le, p_lt = rows.rows("p", j_star // _SUB)
-        q_le, q_lt = rows.rows("q", i_star // _SUB)
+        p_le, p_lt, _ = rows.rows("p", j_star // _SUB)
+        q_le, q_lt, _ = rows.rows("q", i_star // _SUB)
         value, (ka, kb) = _best_time_interval(
             p_le[j_star % _SUB] - q_le[i_star % _SUB], p_lt[j_star % _SUB] - q_lt[i_star % _SUB]
         )

@@ -1,10 +1,11 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from conftest import brute_metric
@@ -118,6 +119,16 @@ class TestQAtoms:
             QAtoms(nodes=((0.5,),), weights=(bad,))
         with pytest.raises(DomainError, match="weights must be finite and nonnegative"):
             q_atoms_from_rows([[0.2], [0.6]], weights=[0.5, bad])
+
+    @pytest.mark.parametrize("total", [2.0, 0.1, 1.0 + 2e-9])
+    def test_refuses_weights_that_do_not_sum_to_one(self, total):
+        # scaled weights scale every measure: at weight 2.0 the metric
+        # between constant omega 2 and 3 on one atom doubled, 0.1465 -> 0.2931
+        with pytest.raises(DomainError, match=re.escape(f"weights must sum to 1, got {total!r}")):
+            QAtoms(nodes=((0.5,),), weights=(total,))
+        with pytest.raises(DomainError, match="weights must sum to 1, got"):
+            q_atoms_from_rows([[0.2], [0.6]], weights=[total / 2, total / 2])
+        assert q_atoms_from_rows([[0.2], [0.6]], weights=[0.5, 0.5 + 5e-10]).weights[1] > 0.5
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.5])
     def test_refuses_nodes_outside_the_cube(self, bad):
@@ -445,6 +456,33 @@ def enumerate_anchored(dataset, theta0, atoms):
     return float(anchored_pair_values(dataset, theta0, atoms).max())
 
 
+def coarse_margins(rows, coarsen):
+    """Coarse minus full bound for every pair whose bound the search takes
+    on both time axes: block envelope pairs, run corner pairs, and left
+    rows against right run corners, each side coarsened by coarsen."""
+    blocks, runs = -(-rows.m // vc._BLOCK), -(-rows.m // vc._SUB)
+    corners = list(zip(*map(rows.corners, range(blocks))))
+    p_corner, q_corner = (np.concatenate(c, axis=1) for c in corners[:2])
+    margins = []
+    for p, q in ((rows.p_block, rows.q_block), (p_corner, q_corner)):
+        fine = vc._pair_bound(p[:, :, None], q[:, None])
+        margins.append(vc._pair_bound(coarsen(p)[:, :, None], coarsen(q)[:, None]) - fine)
+    for r in range(runs):
+        le, lt, _ = rows.rows("q", r)
+        row = (le, lt, le, lt)
+        fine = vc._pair_bound(p_corner[:, :, None], row)
+        margins.append(vc._pair_bound(coarsen(p_corner)[:, :, None], coarsen(row)) - fine)
+    return np.concatenate([x.ravel() for x in margins])
+
+
+def coarse_with_wrong_le_up(summary):
+    """vc._coarse, but taking each run's smallest le_up, not its largest."""
+    coarse = vc._coarse(summary)
+    at = np.arange(0, summary[0].shape[-1], vc._COARSE)
+    coarse[0] = np.minimum.reduceat(summary[0], at, axis=-1)
+    return coarse
+
+
 # rows expanded by the search on the pruning guard's dataset: 3 when set
 ROWS_EXPANDED_CEILING = 64
 
@@ -597,9 +635,14 @@ class TestStatistic:
                 for got, want in zip(block_env, extremes):
                     assert_allclose(got[g], want, rtol=0.0, atol=rows.slack)
         # corners built on demand, and the envelopes of the right runs' rows
-        p_corner, q_corner = (np.concatenate(c, axis=1) for c in zip(*map(rows.corners, range(blocks))))
+        p_corner, q_corner, p_coarse, q_coarse = (
+            np.concatenate(c, axis=1) for c in zip(*map(rows.corners, range(blocks)))
+        )
         assert len(rows.corner_cache) == blocks
-        p_env = np.stack([np.stack(vc._envelope(*rows.rows("p", r))) for r in range(runs)], axis=1)
+        p_env = np.stack([np.stack(rows.rows("p", r)[2]) for r in range(runs)], axis=1)
+        assert_array_equal(p_env, np.stack(
+            [np.stack(vc._envelope(*rows.rows("p", r)[:2])) for r in range(runs)], axis=1
+        ))
         assert p_corner.shape == q_corner.shape == p_env.shape == (4, runs, len(anchors_t))
         if design == "RD":
             digest = hashlib.sha256()
@@ -613,11 +656,33 @@ class TestStatistic:
                     bound = vc._pair_bound(p[:, jg], q[:, ig])
                     covers(bound, ig * size, ig * size + size, jg * size, jg * size + size)
         for i in range(m):
-            le, lt = (x[i % run] for x in rows.rows("q", i // run))
+            le, lt = (x[i % run] for x in rows.rows("q", i // run)[:2])
             for jr in range(i // run, runs):
                 for p in (p_corner, p_env):
                     bound = vc._pair_bound(p[:, jr], (le, lt, le, lt))
                     covers(bound, i, i + 1, jr * run, jr * run + run)
+        # the coarse summaries kept beside them are _coarse of them, and
+        # every coarse bound is at least the full bound it stands in for
+        for coarse, summary in ((rows.p_coarse, rows.p_block), (rows.q_coarse, rows.q_block),
+                                (p_coarse, p_corner), (q_coarse, q_corner)):
+            assert_array_equal(coarse, vc._coarse(summary))
+        for r in range(runs):
+            le, lt, coarse = rows.rows("q", r)
+            assert_array_equal(coarse, vc._coarse((le, lt, le, lt)))
+        assert coarse_margins(rows, vc._coarse).min() >= 0.0
+
+    @pytest.mark.parametrize("n, time_anchors", [(11, 13), (158, 160)])
+    def test_coarse_bound_covers_the_full_bound(self, n, time_anchors):
+        # fewer time anchors than one coarse run, and a whole number of runs
+        theta0 = random_theta(d=1, seed=67, omega=2.0)
+        ds = generate_dataset(theta0, n, "RD", UniformQ(1), horizon=theta0.horizon, seed=39)
+        anchors_t = np.unique(np.concatenate([[0.0, theta0.horizon], ds.times_array()]))
+        assert len(anchors_t) == time_anchors
+        rows = vc._AnchorRows(ds.times_array(), ds.covariates_array()[:, 0],
+                              q_atoms_from_law(UniformQ(1)), theta0, anchors_t, "RD")
+        assert coarse_margins(rows, vc._coarse).min() >= 0.0
+        # the check has teeth: the wrong extreme for le_up falls below
+        assert coarse_margins(rows, coarse_with_wrong_le_up).min() < 0.0
 
     def test_pruning_ceiling(self):
         # counts repeat exactly, so this guards pruning without a clock:
@@ -631,10 +696,12 @@ class TestStatistic:
     @pytest.mark.parametrize("omega, n, seed, epsilon, want", [
         # recorded when every block built its own reference rows; the share
         # builds (last counter) were 51 and 50 while the construction sweep
-        # stored every run's corners and envelopes, and the blocks whose
-        # corners are built on demand are all 32 and 5 of 47
+        # stored every run's corners and envelopes, and 127 and 55 while
+        # every node was bounded on the full time axis before it entered
+        # the heap; the blocks whose corners are built on demand are all 32
+        # and 5 of 47
         (2.0, 2000, 2, 0.3, (0.03922665531404829, (0.022629350939928503, 1.2557450074174716),
-                             (0.25850636190238185, 0.9608195040934834), (528, 5976, 3, 32, 127))),
+                             (0.25850636190238185, 0.9608195040934834), (528, 5976, 3, 32, 96))),
         (4.0, 3000, 3, 0.2, (0.26454024443918966, (4.2559547702804116e-06, 0.6675115527280868),
                              (0.008039102514709406, 0.9915557317953035), (1128, 64, 2, 5, 55))),
     ])
@@ -697,7 +764,7 @@ class TestStatistic:
             "timings",
         }
         assert rec["block_pairs_bounded"] == 1 and rec["block_builds"] >= 1
-        assert set(rec["timings"]) == {"build_s", "search_s", "corner_blocks"}
+        assert set(rec["timings"]) == {"build_s", "search_s", "corner_blocks", "fine_bounds"}
         assert rec["timings"]["build_s"] > 0 and rec["timings"]["search_s"] > 0
         assert rec["timings"]["corner_blocks"] == 1
         assert rec["n"] == 50
