@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,9 @@ MAX_HORIZON_DOUBLINGS = 10
 # loses digits to cancellation and the midpoint expansion takes over;
 # there the two agree to about 3e-13 relative.
 _FLAT_DY = 1e-3
+# Rows of a table formatted and written per call, so that writing holds
+# the text of one block, not of the whole file.
+_WRITE_ROWS = 1024
 
 
 def log_sigmoid(y):
@@ -489,15 +494,35 @@ class TableQ:
 # -- datasets -------------------------------------------------------------
 
 
+def _real_kinds(values, rows=False):
+    """The set of types of the entries of values, or of each of its rows,
+    or None when one is not a real number (a str or a bool is not).  An
+    int or float array passes on its dtype alone."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        return {values.dtype.type}
+    kinds = set(map(type, chain.from_iterable(values) if rows else values))
+    if all(issubclass(k, numbers.Real) and not issubclass(k, bool) for k in kinds):
+        return kinds
+    return None
+
+
 @dataclass(frozen=True)
 class SurvivalDataset:
     """Observed times and covariates plus the design that produced them.
 
-    Times must be finite and nonnegative, every record must have d
-    covariates in [0,1] (NaN fails), and the horizon must be finite and
-    positive; a refusal names the first bad record.  A time may lie past
-    the horizon: data read from a file keep its sidecar's horizon, and
-    the readers check times against their own grids.
+    A dataset holds at least one record.  Every time, covariate and the
+    horizon must be a real number (a str or a bool is not); times must be
+    finite and nonnegative, every record must have d covariates in [0,1]
+    (NaN fails), and the horizon must be finite and positive; a refusal
+    names the first bad record.  A time may lie past the horizon: data
+    read from a file keep its sidecar's horizon, and the readers check
+    times against their own grids.
+
+    Times and covariates may be given as sequences or as float arrays;
+    each is converted to a float array once, checked there and stored as
+    float tuples, so == compares values.  The checked arrays are kept
+    read-only beside the fields (not as fields, so == and repr ignore
+    them) and times_array and covariates_array return them.
     """
 
     times: tuple
@@ -509,25 +534,55 @@ class SurvivalDataset:
     def __post_init__(self):
         if self.design not in ("RD", "NRD"):
             raise DomainError(f"design must be 'RD' or 'NRD', got {self.design!r}")
-        if len(self.times) != len(self.covariates):
+        times, covs = self.times, self.covariates
+        n = len(times)
+        if n != len(covs):
             raise DomainError("times and covariates must have equal length")
-        t = self.times_array()
+        if not n:
+            raise DomainError("dataset is empty: it needs at least one record")
+        kinds = _real_kinds(times)
+        if kinds is None:
+            i = next(i for i, v in enumerate(times) if _real_kinds((v,)) is None)
+            raise DomainError(f"record {i}: time {times[i]!r} is not a real number")
+        t = np.array(times, dtype=float)
         bad = np.flatnonzero(~((t >= 0) & (t < np.inf)))  # NaN fails both
         if bad.size:
             raise DomainError(
                 f"record {int(bad[0])}: time {float(t[bad[0]])!r} is not finite and nonnegative"
             )
-        bad = np.flatnonzero(np.fromiter(map(len, self.covariates), int, self.n) != self.d)
+        # a tuple of floats is kept as given; other input is stored as one
+        if type(times) is not tuple or kinds != {float}:
+            object.__setattr__(self, "times", tuple(t.tolist()))
+
+        d = len(covs[0])
+        # the rows of an array share one width
+        ragged = not isinstance(covs, np.ndarray) and np.fromiter(map(len, covs), int, n) != d
+        bad = np.flatnonzero(ragged)
         if not bad.size:
-            x = self.covariates_array()
+            kinds = _real_kinds(covs, rows=True)
+            if kinds is None:
+                i = next(i for i, row in enumerate(covs) if _real_kinds(row) is None)
+                raise DomainError(f"record {i}: covariates {covs[i]!r} are not real numbers")
+            x = np.array(covs, dtype=float).reshape(n, d)
             bad = np.flatnonzero(~((x >= 0) & (x <= 1)).all(axis=1))  # NaN fails too
         if bad.size:
+            row = covs[bad[0]]
+            if isinstance(row, np.ndarray):
+                row = tuple(row.tolist())
             raise DomainError(
-                f"record {int(bad[0])}: covariates {self.covariates[bad[0]]} are not d = {self.d} "
-                f"values in [0,1]"
+                f"record {int(bad[0])}: covariates {row} are not d = {d} values in [0,1]"
             )
-        if not 0 < self.horizon < np.inf:  # NaN fails too
-            raise DomainError(f"horizon must be finite and positive, got {self.horizon!r}")
+
+        if type(covs) is not tuple or kinds - {float} or set(map(type, covs)) != {tuple}:
+            object.__setattr__(self, "covariates", tuple(map(tuple, x.tolist())))
+
+        if _real_kinds((self.horizon,)) is None or not 0 < self.horizon < np.inf:  # NaN fails too
+            raise DomainError(
+                f"horizon must be a finite and positive real number, got {self.horizon!r}"
+            )
+        object.__setattr__(self, "horizon", float(self.horizon))
+        t.flags.writeable = x.flags.writeable = False
+        object.__setattr__(self, "_arrays", (t, x))
 
     @property
     def n(self) -> int:
@@ -535,13 +590,15 @@ class SurvivalDataset:
 
     @property
     def d(self) -> int:
-        return len(self.covariates[0]) if self.covariates else 0
+        return self._arrays[1].shape[1]
 
     def times_array(self) -> np.ndarray:
-        return np.asarray(self.times, dtype=float)
+        """The times as a read-only float array, built once."""
+        return self._arrays[0]
 
     def covariates_array(self) -> np.ndarray:
-        return np.asarray(self.covariates, dtype=float).reshape(self.n, -1) if self.n else np.empty((0, 0))
+        """The covariates as a read-only (n, d) float array, built once."""
+        return self._arrays[1]
 
     def to_csv(self, path) -> None:
         _write_table(
@@ -573,8 +630,8 @@ class SurvivalDataset:
                     "which must be positive"
                 )
             return cls(
-                times=tuple(table[:, 0].tolist()),
-                covariates=tuple(map(tuple, table[:, 1:].tolist())),
+                times=table[:, 0],
+                covariates=table[:, 1:],
                 design=meta["design"],
                 q_descriptor=meta["q_descriptor"],
                 horizon=meta["horizon"],
@@ -583,11 +640,20 @@ class SurvivalDataset:
 
 def _write_table(path, header, table, meta) -> None:
     """Write the header and the rows of the float matrix table as CSV,
-    each value as its repr, and meta as the JSON sidecar."""
+    and meta as the JSON sidecar.
+
+    The header goes through csv.writer.  The body is formatted
+    _WRITE_ROWS rows at a time with one "%r,...,%r" line template and
+    written in one call per block.  That is the text csv.writer makes of
+    float rows: each value as its shortest repr, never quoted, and each
+    line ended by CRLF.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(table.tolist())
+        csv.writer(fh).writerow(header)
+        line = ",".join(["%r"] * table.shape[1]) + "\r\n"
+        for start in range(0, len(table), _WRITE_ROWS):
+            block = table[start:start + _WRITE_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
     Path(f"{path}.meta.json").write_text(json.dumps(meta, indent=2))
 
 
@@ -651,8 +717,8 @@ def generate_dataset(theta0: Theta, n: int, design: str, q, horizon: float, seed
             f"extend the path grid or lower the horizon"
         )
     return SurvivalDataset(
-        times=tuple(float(t) for t in times),
-        covariates=tuple(tuple(float(v) for v in row) for row in xs),
+        times=times,
+        covariates=xs,
         design=design,
         q_descriptor=descriptor,
         horizon=float(horizon),

@@ -134,8 +134,7 @@ def _check_records(dataset: SurvivalDataset, horizon: float) -> None:
         raise DomainError(
             f"dataset horizon {dataset.horizon:g} exceeds representation horizon {horizon:g}"
         )
-    t = dataset.times_array()
-    if t.size and t.max() > horizon:
+    if dataset.times_array().max() > horizon:
         raise DomainError(f"a record time lies outside [0, {horizon:g}]")
 
 
@@ -199,8 +198,6 @@ def log_likelihood(theta: Theta, dataset: SurvivalDataset) -> float:
     """Sum of log densities of the observed records under theta."""
     if theta.d != dataset.d:
         raise DomainError(f"theta has d={theta.d}, dataset has d={dataset.d}")
-    if dataset.n == 0:
-        raise DomainError("dataset is empty")
     values = [p.values for p in theta.paths]
     per = _Likelihood([dataset], theta.grid.points).per_record(theta.omega, [values])
     bad = np.flatnonzero(~np.isfinite(per))
@@ -322,7 +319,7 @@ def _chains(datasets, prior: ModelPrior, config: McmcConfig, seeds, knots, prior
             return [(0.0, 0.0)] * len(values)
     else:
         for dataset in datasets:
-            if dataset is None or dataset.n == 0:
+            if dataset is None:
                 raise DomainError("dataset must be nonempty unless prior_only")
             if dataset.d != d:
                 raise DomainError(f"dataset has d={dataset.d}, prior covers d={d}")

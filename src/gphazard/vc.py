@@ -238,8 +238,6 @@ def measure_mu(theta: Theta, rect: Rectangle, design: str, q_grid) -> float:
 
 def empirical_measure(dataset: SurvivalDataset, rect: Rectangle) -> float:
     """Fraction of records in the closed rectangle."""
-    if dataset.n < 1:
-        raise DomainError("dataset is empty")
     if rect.d != dataset.d:
         raise DomainError(f"rectangle has {rect.d} covariate axes, data has {dataset.d}")
     times = dataset.times_array()
@@ -818,8 +816,6 @@ def test_statistic(dataset: SurvivalDataset, theta0: Theta, design: str, q_grid,
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise DomainError(f"epsilon must be a positive real, got {epsilon}")
-    if dataset.n < 1:
-        raise DomainError("dataset is empty")
     if design != dataset.design:
         raise DomainError(f"dataset was generated under {dataset.design}, not {design}")
     if dataset.d != theta0.d:

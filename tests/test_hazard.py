@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 
@@ -14,6 +16,7 @@ from gphazard.errors import DomainError, GenerationError
 from gphazard.gp_paths import DyadicGrid, GpPath, TimeGrid, sample_path
 from gphazard.hazard import (
     _FLAT_DY,
+    _WRITE_ROWS,
     MAX_HORIZON_DOUBLINGS,
     Covariate,
     HazardCurve,
@@ -31,6 +34,7 @@ from gphazard.hazard import (
     _locate,
     _mean_sigmoid,
     _softplus_tail,
+    _write_table,
     survival_matrix,
 )
 from gphazard.kernels import StationaryKernel
@@ -453,20 +457,44 @@ class TestDatasets:
         with pytest.raises(DomainError):
             generate_dataset(th, 0, "RD", UniformQ(0), horizon=10.0, seed=0)
 
-    @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf, -math.inf, "1.0", True, np.True_])
     def test_rejects_bad_time_naming_the_record(self, t):
         with pytest.raises(DomainError, match=r"record 1: time"):
             SurvivalDataset((1.0, t, -1.0), ((), (), ()), "RD", {}, horizon=10.0)
 
-    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf, "3.0", True])
     def test_rejects_bad_horizon(self, horizon):
         with pytest.raises(DomainError, match="horizon"):
             SurvivalDataset((1.0,), ((),), "RD", {}, horizon=horizon)
 
-    @pytest.mark.parametrize("row", [(), (0.5, 0.5), (1.5,), (-0.1,), (math.nan,)])
+    @pytest.mark.parametrize("row", [(), (0.5, 0.5), (1.5,), (-0.1,), (math.nan,), ("0.5",), (False,)])
     def test_rejects_bad_covariates_naming_the_record(self, row):
         with pytest.raises(DomainError, match=r"record 1: covariates"):
             SurvivalDataset((1.0, 2.0, 3.0), ((0.5,), row, (2.0,)), "RD", {}, horizon=10.0)
+
+    def test_rejects_non_real_array_entries(self):
+        with pytest.raises(DomainError, match=r"record 0: time"):
+            SurvivalDataset(np.array(["1.0"]), ((0.5,),), "RD", {}, horizon=3.0)
+        with pytest.raises(DomainError, match=r"record 0: covariates"):
+            SurvivalDataset((1.0,), np.array([[True]]), "RD", {}, horizon=3.0)
+
+    def test_rejects_empty_dataset(self):
+        with pytest.raises(DomainError, match="dataset is empty"):
+            SurvivalDataset((), (), "RD", {}, horizon=1.0)
+
+    def test_array_input_is_stored_as_float_tuples(self):
+        times, xs = np.array([1.0, 2.5]), np.array([[0.5], [0.25]])
+        a = SurvivalDataset(times, xs, "RD", {}, np.float64(3.0))
+        b = SurvivalDataset(times.copy(), xs.copy(), "RD", {}, 3.0)
+        c = SurvivalDataset((1.0, 2.5), ((0.5,), (0.25,)), "RD", {}, 3.0)
+        mixed = SurvivalDataset((1, 2.5), [(0.5,), [0.25]], "RD", {}, 3)
+        assert a == b == c == mixed and repr(a) == repr(c) == repr(mixed)
+        for ds in (a, mixed):
+            assert type(ds.times[0]) is float and type(ds.covariates[1]) is tuple
+            assert type(ds.covariates[0][0]) is float and type(ds.horizon) is float
+        # the stored arrays are the dataset's own: the caller's arrays stay writable
+        times[0] = 9.0
+        assert a.times_array()[0] == 1.0 and a.times[0] == 1.0
 
     def test_times_past_the_horizon_are_kept(self):
         # data read from a file keep its sidecar's horizon; readers check their grids
@@ -614,6 +642,50 @@ class TestCsvFiles:
         file.write_bytes(b"t,k\n0.0,\xff\xfe\n")
         with pytest.raises(DomainError, match=r"kernel\.csv: "):
             StationaryKernel.from_csv(file)
+
+
+def csv_writer_text(header, table):
+    """The text csv.writer makes of a header and float rows."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(table.tolist())
+    return buf.getvalue()
+
+
+class TestWriteTable:
+    EDGES = (5e-324, -0.0, 0.1, 1e-5, 1e16, 1e300)
+
+    def test_text_equals_csv_writer(self, tmp_path):
+        # one row more than a block, so the last block holds a single row
+        rng = np.random.default_rng(3)
+        shape = (_WRITE_ROWS + 1, 3)
+        table = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-30, 30, shape)
+        table[:2].flat = self.EDGES
+        table[-1] = self.EDGES[:3]
+        header = ["t", "x1", "x2"]
+        file = tmp_path / "table.csv"
+        _write_table(file, header, table, {})
+        assert file.read_bytes() == csv_writer_text(header, table).encode()
+
+    def test_round_trip_past_one_block(self, tmp_path):
+        n = _WRITE_ROWS + 1
+        rng = np.random.default_rng(4)
+        times = rng.exponential(2.0, n)
+        times[: len(self.EDGES)] = self.EDGES
+        xs = rng.uniform(size=(n, 2))
+        xs[:2, 0] = 5e-324, -0.0
+        ds = SurvivalDataset(times, xs, "RD", {"family": "uniform", "d": 2}, 10.0)
+        file = tmp_path / "data.csv"
+        ds.to_csv(file)
+        again = SurvivalDataset.from_csv(file)
+        assert again == ds
+        assert [repr(t) for t in again.times[:6]] == [repr(t) for t in self.EDGES]
+        with pytest.raises(ValueError, match="read-only"):
+            again.times_array()[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            again.covariates_array()[0, 0] = 1.0
+
 
 class TestMeanHazard:
     @pytest.mark.parametrize("omega", [2.0, 6.0])

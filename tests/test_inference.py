@@ -236,10 +236,10 @@ class TestLogLikelihood:
         assert_allclose(shared, per_row, rtol=1e-14)
 
     def test_rejects_empty_dataset(self):
-        empty = SurvivalDataset(
-            times=(), covariates=(), design="RD", q_descriptor={}, horizon=10.0
-        )
         with pytest.raises(DomainError, match="empty"):
+            empty = SurvivalDataset(
+                times=(), covariates=(), design="RD", q_descriptor={}, horizon=10.0
+            )
             log_likelihood(flat_theta(2.0), empty)
 
     def test_rejects_d_mismatch(self):

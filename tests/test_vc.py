@@ -209,9 +209,9 @@ class TestEmpiricalMeasure:
         assert empirical_measure(ds, Rectangle((0.0, t_max), ((0.0, 1.0),))) == 1.0
 
     def test_empty_dataset_rejected(self):
-        ds = SurvivalDataset(times=(), covariates=(), design="RD",
-                             q_descriptor={"family": "uniform", "d": 0}, horizon=1.0)
         with pytest.raises(DomainError):
+            ds = SurvivalDataset(times=(), covariates=(), design="RD",
+                                 q_descriptor={"family": "uniform", "d": 0}, horizon=1.0)
             empirical_measure(ds, Rectangle((0.0, 1.0)))
 
 
@@ -777,9 +777,9 @@ class TestStatistic:
             anchored_statistic(ds, theta0, "NRD", None, epsilon=0.2)
         with pytest.raises(DomainError):
             anchored_statistic(ds, theta0, "RD", None, epsilon=0.0)
-        empty = SurvivalDataset(times=(), covariates=(), design="RD",
-                                q_descriptor={"family": "uniform", "d": 1}, horizon=6.0)
         with pytest.raises(DomainError):
+            empty = SurvivalDataset(times=(), covariates=(), design="RD",
+                                    q_descriptor={"family": "uniform", "d": 1}, horizon=6.0)
             anchored_statistic(empty, theta0, "RD", None, epsilon=0.2)
         far = SurvivalDataset(times=(9.0,), covariates=((0.5,),), design="RD",
                               q_descriptor={"family": "uniform", "d": 1}, horizon=9.0)
