@@ -494,16 +494,15 @@ class TableQ:
 # -- datasets -------------------------------------------------------------
 
 
-def _real_kinds(values, rows=False):
-    """The set of types of the entries of values, or of each of its rows,
-    or None when one is not a real number (a str or a bool is not).  An
-    int or float array passes on its dtype alone."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
-        return {values.dtype.type}
-    kinds = set(map(type, chain.from_iterable(values) if rows else values))
-    if all(issubclass(k, numbers.Real) and not issubclass(k, bool) for k in kinds):
-        return kinds
-    return None
+def _real(values) -> bool:
+    """Whether every entry of values is a real number (a str or a bool is
+    not).  An int or float array passes on its dtype alone; any other
+    array is read entry by entry."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "fiu":
+            return True
+        values = values.ravel()
+    return all(issubclass(k, numbers.Real) and not issubclass(k, bool) for k in set(map(type, values)))
 
 
 @dataclass(frozen=True)
@@ -540,9 +539,8 @@ class SurvivalDataset:
             raise DomainError("times and covariates must have equal length")
         if not n:
             raise DomainError("dataset is empty: it needs at least one record")
-        kinds = _real_kinds(times)
-        if kinds is None:
-            i = next(i for i, v in enumerate(times) if _real_kinds((v,)) is None)
+        if not _real(times):
+            i = next(i for i, v in enumerate(times) if not _real((v,)))
             raise DomainError(f"record {i}: time {times[i]!r} is not a real number")
         t = np.array(times, dtype=float)
         bad = np.flatnonzero(~((t >= 0) & (t < np.inf)))  # NaN fails both
@@ -550,18 +548,14 @@ class SurvivalDataset:
             raise DomainError(
                 f"record {int(bad[0])}: time {float(t[bad[0]])!r} is not finite and nonnegative"
             )
-        # a tuple of floats is kept as given; other input is stored as one
-        if type(times) is not tuple or kinds != {float}:
-            object.__setattr__(self, "times", tuple(t.tolist()))
 
         d = len(covs[0])
         # the rows of an array share one width
         ragged = not isinstance(covs, np.ndarray) and np.fromiter(map(len, covs), int, n) != d
         bad = np.flatnonzero(ragged)
         if not bad.size:
-            kinds = _real_kinds(covs, rows=True)
-            if kinds is None:
-                i = next(i for i, row in enumerate(covs) if _real_kinds(row) is None)
+            if not _real(covs if isinstance(covs, np.ndarray) else chain.from_iterable(covs)):
+                i = next(i for i, row in enumerate(covs) if not _real(row))
                 raise DomainError(f"record {i}: covariates {covs[i]!r} are not real numbers")
             x = np.array(covs, dtype=float).reshape(n, d)
             bad = np.flatnonzero(~((x >= 0) & (x <= 1)).all(axis=1))  # NaN fails too
@@ -573,14 +567,12 @@ class SurvivalDataset:
                 f"record {int(bad[0])}: covariates {row} are not d = {d} values in [0,1]"
             )
 
-        if type(covs) is not tuple or kinds - {float} or set(map(type, covs)) != {tuple}:
-            object.__setattr__(self, "covariates", tuple(map(tuple, x.tolist())))
-
-        if _real_kinds((self.horizon,)) is None or not 0 < self.horizon < np.inf:  # NaN fails too
+        if not _real(np.ravel(self.horizon)) or not 0 < self.horizon < np.inf:  # NaN fails too
             raise DomainError(
                 f"horizon must be a finite and positive real number, got {self.horizon!r}"
             )
-        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "times", tuple(t.tolist()))
+        object.__setattr__(self, "covariates", tuple(map(tuple, x.tolist())))
         t.flags.writeable = x.flags.writeable = False
         object.__setattr__(self, "_arrays", (t, x))
 

@@ -484,17 +484,31 @@ class TestDatasets:
 
     def test_array_input_is_stored_as_float_tuples(self):
         times, xs = np.array([1.0, 2.5]), np.array([[0.5], [0.25]])
-        a = SurvivalDataset(times, xs, "RD", {}, np.float64(3.0))
+        a = SurvivalDataset(times, xs, "RD", {}, 3.0)
         b = SurvivalDataset(times.copy(), xs.copy(), "RD", {}, 3.0)
         c = SurvivalDataset((1.0, 2.5), ((0.5,), (0.25,)), "RD", {}, 3.0)
-        mixed = SurvivalDataset((1, 2.5), [(0.5,), [0.25]], "RD", {}, 3)
+        mixed = SurvivalDataset((1, 2.5), [(0.5,), [0.25]], "RD", {}, 3.0)
         assert a == b == c == mixed and repr(a) == repr(c) == repr(mixed)
         for ds in (a, mixed):
             assert type(ds.times[0]) is float and type(ds.covariates[1]) is tuple
-            assert type(ds.covariates[0][0]) is float and type(ds.horizon) is float
+            assert type(ds.covariates[0][0]) is float
         # the stored arrays are the dataset's own: the caller's arrays stay writable
         times[0] = 9.0
         assert a.times_array()[0] == 1.0 and a.times[0] == 1.0
+
+    @pytest.mark.parametrize("horizon", [10, np.float64(10.0), np.array(10.0)])
+    def test_horizon_is_kept_as_given(self, horizon):
+        ds = SurvivalDataset((1.0,), ((0.5,),), "RD", {}, horizon)
+        assert ds.horizon is horizon
+
+    def test_int_horizon_sidecar_round_trips(self, tmp_path):
+        # a sidecar horizon of 10 is written back as 10, not as 10.0
+        file = tmp_path / "data.csv"
+        SurvivalDataset((1.0,), ((0.5,),), "RD", {}, 10).to_csv(file)
+        meta = file.with_name("data.csv.meta.json").read_bytes()
+        assert b'"horizon": 10\n' in meta
+        SurvivalDataset.from_csv(file).to_csv(tmp_path / "back.csv")
+        assert file.with_name("back.csv.meta.json").read_bytes() == meta
 
     def test_times_past_the_horizon_are_kept(self):
         # data read from a file keep its sidecar's horizon; readers check their grids
