@@ -379,7 +379,9 @@ def _test_stat_record(result: TestStatResult) -> dict:
     deviation bounds, with the search's timings nested."""
     rec = asdict(result)
     del rec["argmax"]
-    timings = {k: rec.pop(k) for k in ("build_s", "search_s", "corner_blocks", "fine_bounds")}
+    timings = {k: rec.pop(k) for k in (
+        "build_s", "search_s", "corner_blocks", "fine_bounds", "reference_rows"
+    )}
     bounds = deviation_bounds(result.n, result.d, result.epsilon)
     return {**rec, **asdict(bounds), "timings": timings}
 

@@ -288,8 +288,8 @@ REPORT_LAYOUTS = {
         {"epsilon": 0.3, "n": 100, "d": 1, "horizon": 10.0},
         {"/block_builds", "/block_pairs_bounded", "/d", "/epsilon", "/expected_dev_bound", "/n",
          "/phi", "/rows_expanded", "/sub_pairs_bounded", "/sup_dev", "/threshold",
-         "/timings/build_s", "/timings/corner_blocks", "/timings/fine_bounds", "/timings/search_s",
-         "/type1_bound"},
+         "/timings/build_s", "/timings/corner_blocks", "/timings/fine_bounds",
+         "/timings/reference_rows", "/timings/search_s", "/type1_bound"},
     ),
     "kl": (
         {"delta": 0.1, "tau": 2.0, "members": 2, "horizon": 12.0},
@@ -420,8 +420,11 @@ class TestRun:
         assert 0 < report["rows_expanded"] <= report["sub_pairs_bounded"] * 16
         assert report["block_builds"] >= 7
         timings = report["timings"]
-        assert set(timings) == {"build_s", "search_s", "corner_blocks", "fine_bounds"}
+        assert set(timings) == {"build_s", "search_s", "corner_blocks", "fine_bounds",
+                                "reference_rows"}
         assert timings["build_s"] > 0 and timings["search_s"] > 0
+        # the constant theta0 gives all 64 atoms one reference row
+        assert timings["reference_rows"] == 1
         # each block pair split builds the corners of its two blocks once
         assert 1 <= timings["corner_blocks"] <= 7
         assert report["sub_pairs_bounded"] <= timings["corner_blocks"] ** 2 * 16

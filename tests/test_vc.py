@@ -489,12 +489,14 @@ ROWS_EXPANDED_CEILING = 64
 # test_every_bound_covers_its_pairs under RD, by cell count: sha256 of the
 # run corners and of the right runs' envelopes that level 1 reads,
 # recorded at commit c6f2411, whose construction sweep stored every run's
-# summaries.  Under NRD a run's rows evaluate their atoms' reference rows
+# summaries; the 2-cell digest was recorded again, after the covers checks
+# below passed, when the atoms' link rows came from one product over the
+# distinct rows.  Under NRD a run's rows evaluate their atoms' reference rows
 # again, which may differ in the last bits, so there the summaries are
 # only checked to cover.
 SUMMARY_DIGESTS = {
     64: "a61902c7b9f8f04231e39ef81ff60170899db8d5d2147eaf166bbf2f1eafb36e",
-    2: "45e901fa80c49ea436486f668b6b42d927a288d84acdcb97a42201275e8a0b32",
+    2: "406a1b1a4b26d46eb5364c8510b49b908f8f8148e350bbabf00f0f9d8f1b82ba",
 }
 
 
@@ -718,8 +720,9 @@ class TestStatistic:
 
         monkeypatch.setattr(vc, "survival_matrix", counted)
         res = anchored_statistic(ds, theta0, "RD", None, epsilon=epsilon)
-        # each atom's row is built once, over the blocks' atom ranges
-        assert sum(calls) == 64 and max(calls) < 64
+        # every atom's link row under the constant theta0 is the same, so
+        # one row is evaluated for all 64
+        assert calls == [1] and res.reference_rows == 1
         counters = (res.block_pairs_bounded, res.sub_pairs_bounded, res.rows_expanded,
                     res.corner_blocks, res.block_builds)
         assert (res.sup_dev, res.argmax.time, res.argmax.box[0], counters) == want
@@ -728,8 +731,9 @@ class TestStatistic:
         per_block = vc._AnchorRows
         monkeypatch.setattr(vc, "_AnchorRows", lambda *args: per_block(*args[:-1], "NRD"))
         calls.clear()
-        assert anchored_statistic(ds, theta0, "RD", None, epsilon=epsilon) == res
-        assert sum(calls) > 64
+        again = anchored_statistic(ds, theta0, "RD", None, epsilon=epsilon)
+        assert again == res
+        assert again.reference_rows == sum(calls) > 64
 
     def test_traced_peak_stays_below_the_run_summaries(self):
         # the n = 3000 case above: with every run's corners and envelopes
@@ -764,9 +768,11 @@ class TestStatistic:
             "timings",
         }
         assert rec["block_pairs_bounded"] == 1 and rec["block_builds"] >= 1
-        assert set(rec["timings"]) == {"build_s", "search_s", "corner_blocks", "fine_bounds"}
+        assert set(rec["timings"]) == {"build_s", "search_s", "corner_blocks", "fine_bounds",
+                                       "reference_rows"}
         assert rec["timings"]["build_s"] > 0 and rec["timings"]["search_s"] > 0
         assert rec["timings"]["corner_blocks"] == 1
+        assert rec["timings"]["reference_rows"] == 1
         assert rec["n"] == 50
         assert rec["threshold"] == 0.05
 
@@ -800,3 +806,43 @@ class TestStatistic:
             anchored_statistic(ds, theta0, "RD", None, epsilon)
         with pytest.raises(DomainError, match="epsilon must be a positive real"):
             deviation_bounds(20, 1, epsilon)
+
+
+class TestAnchorRowKernels:
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("rows", [1, 2, 65])
+    def test_row_adds_equal_cumsum(self, dtype, rows):
+        rng = np.random.default_rng(rows)
+        a = (rng.integers(0, 9, (rows, 103)) if dtype is np.int64
+             else rng.standard_normal((rows, 103)) * 10.0 ** rng.integers(-8, 8, (rows, 1)))
+        want = np.cumsum(a, axis=0)
+        got = vc._cumsum_rows(a)
+        assert got is a and got.dtype == want.dtype
+        assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("theta0, cells, want_calls", [
+        (Theta.constant(2.0, 1, 3.0), 64, [1]),
+        (random_theta(d=1, seed=68, omega=2.0), 64, [16, 16, 16, 16]),
+    ])
+    def test_reference_rows_once_per_distinct_link_row(self, monkeypatch, theta0, cells, want_calls):
+        ds = generate_dataset(theta0, 100, "RD", UniformQ(1), horizon=theta0.horizon, seed=40)
+        atoms = vc.resolve_atoms("RD", UniformQ(1), cells)
+        anchors_t = np.unique(np.concatenate([[0.0, theta0.horizon], ds.times_array()]))
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return survival_matrix(*args)
+
+        monkeypatch.setattr(vc, "survival_matrix", counted)
+        rows = vc._AnchorRows(ds.times_array(), ds.covariates_array()[:, 0], atoms, theta0,
+                              anchors_t, "RD")
+        assert calls == want_calls and rows.reference_rows == sum(want_calls)
+        per_atom = np.concatenate([
+            rows.node_w[i] * (1.0 - survival_matrix(theta0, rows.node_rows[i: i + 1], anchors_t))
+            for i in range(cells)
+        ])
+        if len(want_calls) == 1:
+            assert_array_equal(rows.ref_rows, per_atom)
+        else:
+            assert_allclose(rows.ref_rows, per_atom, rtol=0.0, atol=rows.slack)
