@@ -380,7 +380,7 @@ def _test_stat_record(result: TestStatResult) -> dict:
     rec = asdict(result)
     del rec["argmax"]
     timings = {k: rec.pop(k) for k in (
-        "build_s", "search_s", "corner_blocks", "fine_bounds", "reference_rows"
+        "build_s", "search_s", "corner_blocks", "fine_bounds", "reference_rows", "held_bytes"
     )}
     bounds = deviation_bounds(result.n, result.d, result.epsilon)
     return {**rec, **asdict(bounds), "timings": timings}

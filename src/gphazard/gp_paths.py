@@ -163,9 +163,13 @@ def _grid_factor(kernel: StationaryKernel, points: tuple) -> tuple:
     if not np.all(np.isfinite(cov)):
         raise NumericError(f"covariance of {kernel.describe()} not finite on the grid")
     jitter = JITTER_FACTOR * kernel.kappa0
+    # each attempt writes diag + jitter onto cov's diagonal: the sums of
+    # cov + jitter * I without its two n x n temporaries
+    diag = cov.diagonal().copy()
     for used in (jitter * 10.0 ** attempt for attempt in range(JITTER_ESCALATIONS + 1)):
+        np.fill_diagonal(cov, diag + used)
         try:
-            chol = np.linalg.cholesky(cov + used * np.eye(len(pts)))
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             continue
         chol.flags.writeable = False

@@ -22,6 +22,7 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
@@ -45,13 +46,13 @@ Q_CELLS_1D = 64
 Q_CELLS_2D = 16
 
 # Anchored search: anchor rows are built and bounded in blocks of _BLOCK
-# anchors, refined into runs of _SUB anchors; the rows of the last
+# anchors, refined into runs of _SUB anchors; the stores of the last
 # _CACHE_RUNS runs the search built are kept.  Every bound is taken first
 # on a time axis coarsened into runs of _COARSE time anchors.  On the
-# benchmark's null case at n = 2000 the search reads the rows of 21 runs,
-# so 32 keeps them all and each is built once, at a traced peak of 37 MiB;
-# keeping 16 builds 6 more times (34 MiB), keeping 8 builds 24 more
-# (30 MiB).  NRD at n = 2000 builds as often with 16 as with 64.
+# benchmark's null case at n = 2000 the search reads 20 runs, so 32 keeps
+# them all and each is built once, at a traced peak of 20 MiB; keeping 16
+# builds 3 more times (19 MiB), keeping 8 builds 19 more (17 MiB).  NRD
+# at n = 2000 builds as often with 16 as with 64.
 _BLOCK = 64
 _SUB = 16
 _CACHE_RUNS = 32
@@ -435,10 +436,12 @@ class TestStatResult:
     corner_blocks: int = 0
     fine_bounds: int = 0
     # reference rows evaluated through survival_matrix, one per atom row
-    # each time its reference CDF is computed, and the seconds spent
-    # building the anchor rows' kept summaries (at d = 0 the time sweep's
-    # rows) and then searching; not compared
+    # each time its reference CDF is computed, the bytes the search's run
+    # and corner stores hold when it ends (0 at d = 0), and the seconds
+    # spent building the anchor rows' kept summaries (at d = 0 the time
+    # sweep's rows) and then searching; not compared
     reference_rows: int = field(default=0, compare=False)
+    held_bytes: int = field(default=0, compare=False)
     build_s: float = field(default=0.0, compare=False)
     search_s: float = field(default=0.0, compare=False)
 
@@ -502,8 +505,36 @@ def _best_time_interval(u: np.ndarray, w: np.ndarray):
     return float(down[b2]), (int(np.argmax(w[: b2 + 1])), b2)
 
 
+def _run_ends(s: int, e: int) -> tuple:
+    """First and last anchors of the runs of _SUB anchors in s..e-1."""
+    r0 = np.arange(s, e, _SUB)
+    return r0, np.minimum(r0 + _SUB, e) - 1
+
+
+class _Run(NamedTuple):
+    """One run of _SUB anchors s..e-1, as the search keeps it for both
+    sides.  Counts are at most n, so int32 holds them for any dataset that
+    fits in memory."""
+
+    counts: np.ndarray     # int32 count rows at anchors s..e: p's row r reads r + 1, q's r
+    refs: np.ndarray       # the distinct R rows its rows subtract
+    p_at: np.ndarray       # each p row's index into refs
+    q_at: np.ndarray       # each q row's index into refs
+    envelope: np.ndarray   # (4, K) envelope of the p rows (see _envelope)
+    q_coarse: np.ndarray   # each q row's coarse summary (see _coarse)
+
+
+class _Corners(NamedTuple):
+    """One block's run corners, as the search keeps them."""
+
+    counts: np.ndarray     # (2, 2, runs, K + 1) int32 count rows: p's at r1 + 1 and
+                           # r0 + 1, then q's at r1 and r0
+    p_coarse: np.ndarray   # (4, runs, K/_COARSE) coarse summaries of the corners
+    q_coarse: np.ndarray
+
+
 class _AnchorRows:
-    """Prefix discrepancies at every anchor, built one block at a time.
+    """Prefix discrepancies at every anchor, kept as integer counts.
 
     For covariate anchor r and time anchor T_k the right side p holds
     S_p[r, k], the share of records with x <= x_r and time <= T_k (le) or
@@ -514,30 +545,40 @@ class _AnchorRows:
     one count matrix serves all four: q's counts are p's one anchor
     earlier, and counts below T_k are counts up to T_(k-1).
 
-    Shares at any anchors of a block of _BLOCK are built from the state at
+    Counts at any anchors of a block of _BLOCK are built from the counts at
     the block's start in one 2-D kernel: the block's records are scattered
     into a rows x (K+1) increment matrix, summed along both axes and added
-    to that state.  One sweep at construction keeps, per block, its start
-    state, the running reference R at the first and last anchor of each of
-    its runs of _SUB, and per side the elementwise envelope of its rows
-    (see _pair_bound) and that envelope's coarse summary (see _coarse).
-    While the reference term stays the same the shares only grow, so each
-    maximum is taken at the last rows of those stretches and each minimum
-    at their first.  Under RD every atom's reference row is built once, at
-    construction, from one survival_matrix row per distinct link row of
-    theta0 at its knots; under NRD each build evaluates its own atoms'
-    rows.  No m x K matrix is held; the rest is built on demand:
-      - a block's run corners (corners), when the search first splits a
-        block pair that reads them, kept with their coarse summaries for
-        every block visited.  The mass of [T_a, T_b] grows with the box,
-        so S at r1 minus R at r0 bounds every row's mass of the run r0..r1
-        from above and S at r0 minus R at r1 from below.  Corners are far
-        tighter than envelopes on runs where the reference stays flat, and
-        far looser on blocks.  Their shares are counted again and their R
-        is the sweep's, so no reference row is evaluated for them.
-      - a run's rows (rows), with R carried on from the sweep's value at
-        the run's first anchor; the last _CACHE_RUNS runs built are kept,
-        each with the one summary of it that the search reads.
+    to that state.  One sweep at construction keeps each block's start
+    counts, per side the elementwise envelope of its rows (see _pair_bound)
+    and that envelope's coarse summary (see _coarse), and the running
+    reference R at every atom that bounds a run, one row per distinct atom
+    index (at most 65 under RD on 64 cells).  While the reference term stays
+    the same the shares only grow, so each maximum is taken at the last
+    rows of those stretches and each minimum at their first.  Under RD
+    every atom's reference row is built once, at construction, from one
+    survival_matrix row per distinct link row of theta0 at its knots; under
+    NRD each build evaluates its own atoms' rows.
+
+    No float row is kept: every row and corner the search reads is formed
+    on read as counts * inv_n minus R, the operations the sweep uses, so it
+    is the same each time it is formed.  Besides the sweep's summaries
+    (about m x K bytes) the search holds int32 counts, about m x K bytes
+    more once every block is visited:
+      - per block visited, its count rows at each run's first and last
+        anchors and one past them, with the coarse summaries of its run
+        corners (corners).  The mass of [T_a, T_b] grows with the box, so S
+        at r1 minus R at r0 bounds every row's mass of the run r0..r1 from
+        above and S at r0 minus R at r1 from below.  Corners are far tighter
+        than envelopes on runs where the reference stays flat, and far
+        looser on blocks.  Their R is the sweep's, so no reference row is
+        evaluated for them.
+      - per run visited, one store for both sides (run): its _SUB + 1 count
+        rows, the distinct R rows they subtract, carried on from the kept R
+        at the run's first anchor, and the summaries the search reads, the
+        p rows' envelope and each q row's coarse summary.  p's row r and
+        q's row r + 1 read one count row, and where no atom lies strictly
+        between x_r and x_(r+1) one R row.  The last _CACHE_RUNS runs built
+        are kept.
     Builds write into reused buffers, because fresh pages cost more than
     the arithmetic.
     """
@@ -582,24 +623,32 @@ class _AnchorRows:
         # last bits, so every bound is raised by this allowance.
         self.slack = 8.0 * (len(self.node_w) + 8) * np.finfo(float).eps
         self.builds = 0
-        self.cache: OrderedDict = OrderedDict()
-        self.corner_cache: dict = {}
+        self.runs: OrderedDict = OrderedDict()
+        self.corner_store: dict = {}
         self._counts = np.empty((_BLOCK + 1, self.K + 1), np.int64)
         self._share = np.empty((_BLOCK + 1, self.K + 1))
         self._ref = np.empty((_SUB, self.K))
+        self._rows = np.empty((2, _SUB, self.K))
         self._sweep()
 
     def _sweep(self) -> None:
-        """Record every block's start state, its runs' boundary R as
-        (atom indices, rows), and per side its (4, blocks, K) envelopes in
-        _pair_bound's order and their coarse summaries."""
+        """Record every block's start counts, per side its (4, blocks, K)
+        envelopes in _pair_bound's order and their coarse summaries, and R
+        at every atom that bounds a run."""
         K, node_pos = self.K, self.node_pos
         nblock = -(-self.m // _BLOCK)
         self.p_block, self.q_block = np.empty((2, 4, nblock, K))
-        self.starts, self.run_refs = [], []
-        state = (np.zeros(K + 1, np.int64), np.zeros(K))
+        # runs never cross blocks; a corner subtracts R at r0 from the
+        # counts at r1 and R at r1 from those at r0 (see corners)
+        r0, r1 = _run_ends(0, self.m)
+        atoms = {"p": self.node_hi[[r0, r1]], "q": self.node_lo[[r0, r1]]}
+        self.kept_atoms = np.unique(np.concatenate(list(atoms.values()), axis=None))
+        self.kept_refs = np.empty((len(self.kept_atoms), K))
+        self.corner_refs = {side: np.searchsorted(self.kept_atoms, a) for side, a in atoms.items()}
+        self.starts = []
+        counts0, ref0 = np.zeros(K + 1, np.int64), np.zeros(K)
         for b, s in enumerate(range(0, self.m, _BLOCK)):
-            self.starts.append(state)
+            self.starts.append(counts0)
             e = min(self.m, s + _BLOCK)
             # rows counted from s; p's row r reads share row r + 1, q's row r
             sides = []
@@ -609,9 +658,10 @@ class _AnchorRows:
                 last = np.append(np.flatnonzero(node[:-1] != node[1:]), len(node) - 1)
                 sides.append((node, shift, (last, np.append(0, last[:-1] + 1))))
             at = np.unique(np.concatenate([r + shift for _, shift, ends in sides for r in ends]))
-            share = self._shares(s, at)
-            ref = self._running_reference(state[1], node_pos[s], node_pos[s + at[-1]])
-            state = (self._counts[len(at) - 1].copy(), ref[-1].copy())
+            counts = self._count_rows(s, at)
+            share = np.multiply(counts, self.inv_n, out=self._share[: len(at)])
+            ref = self._running_reference(ref0, node_pos[s], node_pos[e])
+            counts0, ref0 = counts[-1].copy(), ref[-1].copy()
             for (node, shift, ends), envelope in zip(sides, (self.p_block, self.q_block)):
                 # shares grow along a stretch: maxima at its last rows,
                 # minima at its first
@@ -620,12 +670,10 @@ class _AnchorRows:
                 )
                 envelope[:, b] = ((s_hi[:, 1:] - r_hi).max(axis=0), (s_lo[:, :-1] - r_lo).min(axis=0),
                                   (s_lo[:, 1:] - r_lo).min(axis=0), (s_hi[:, :-1] - r_hi).max(axis=0))
-            r0 = np.arange(s, e, _SUB)
-            r1 = np.minimum(r0 + _SUB, e) - 1
-            kept = np.unique(np.concatenate(
-                [node[r] for node in (self.node_lo, self.node_hi) for r in (r0, r1)]
-            ))
-            self.run_refs.append((kept, ref[kept - node_pos[s]]))
+            # the kept atoms in node_pos[s]..node_pos[e]; one at a block
+            # boundary is written by both blocks with the same row
+            kept = slice(*np.searchsorted(self.kept_atoms, [node_pos[s], node_pos[e] + 1]))
+            self.kept_refs[kept] = ref[self.kept_atoms[kept] - node_pos[s]]
         self.p_coarse, self.q_coarse = _coarse(self.p_block), _coarse(self.q_block)
 
     def _reference(self, a: int, b: int) -> np.ndarray:
@@ -644,11 +692,11 @@ class _AnchorRows:
         sweep's sums."""
         return _cumsum_rows(np.vstack([base, self._reference(a, b)]))
 
-    def _shares(self, start: int, at: np.ndarray) -> np.ndarray:
-        """Shares S at the anchors start + at of the block beginning at
-        anchor start (at increasing)."""
+    def _count_rows(self, start: int, at: np.ndarray) -> np.ndarray:
+        """Counts at the anchors start + at of the block beginning at
+        anchor start (at increasing), in a reused buffer."""
         self.builds += 1
-        counts0 = self.starts[start // _BLOCK][0]
+        counts0 = self.starts[start // _BLOCK]
         pos = self.rec_pos[start + at]
         records = np.arange(self.rec_pos[start], pos[-1])
         counts = self._counts[: len(at)]
@@ -658,65 +706,93 @@ class _AnchorRows:
         # first row, and the row adds carry it to the others
         np.cumsum(counts, axis=1, out=counts)
         counts[0] += counts0
-        _cumsum_rows(counts)
-        return np.multiply(counts, self.inv_n, out=self._share[: len(at)])
+        return _cumsum_rows(counts)
 
-    def _kept_reference(self, block: int, atoms: np.ndarray) -> np.ndarray:
-        """The sweep's R at atoms that bound runs of block."""
-        kept, refs = self.run_refs[block]
-        return refs[np.searchsorted(kept, atoms)]
+    def _corner(self, side: str, counts: np.ndarray, runs) -> np.ndarray:
+        """Corners of one side ("p" or "q") in _pair_bound's order, (4, K)
+        for one run or (4, runs, K) for a slice of runs, from that side's
+        count rows of those runs (see _Corners)."""
+        share = counts * self.inv_n
+        refs = self.kept_refs[self.corner_refs[side][:, runs]]
+        corner = np.empty((2, *refs.shape))
+        np.subtract(share[..., 1:], refs, out=corner[:, 0])
+        np.subtract(share[..., :-1], refs, out=corner[:, 1])
+        return corner.reshape(4, *refs.shape[1:])
 
-    def corners(self, block: int) -> tuple:
-        """(p, q, coarse p, coarse q) run corners of one block, each
-        (4, runs, K) in _pair_bound's order or its coarse summary: built on
-        first use, then kept."""
-        if block not in self.corner_cache:
+    def corners(self, block: int) -> _Corners:
+        """One block's corner store: built on first use, then kept."""
+        if block not in self.corner_store:
             s = block * _BLOCK
-            e = min(self.m, s + _BLOCK)
-            r0 = np.arange(s, e, _SUB)
-            r1 = np.minimum(r0 + _SUB, e) - 1
-            at = np.unique(np.concatenate([r0, r1, r0 + 1, r1 + 1])) - s
-            share = self._shares(s, at)
-            sides = []
-            for node, shift in ((self.node_hi, 1), (self.node_lo, 0)):
-                s0, s1 = (share[np.searchsorted(at, r - s + shift)] for r in (r0, r1))
-                ref0, ref1 = (self._kept_reference(block, node[r]) for r in (r0, r1))
-                sides.append(np.stack((s1[:, 1:] - ref0, s1[:, :-1] - ref0,
-                                       s0[:, 1:] - ref1, s0[:, :-1] - ref1)))
-            self.corner_cache[block] = (*sides, *map(_coarse, sides))
-        return self.corner_cache[block]
+            r0, r1 = _run_ends(s, min(self.m, s + _BLOCK))
+            ends = np.array([[r1 + 1, r0 + 1], [r1, r0]]) - s
+            at = np.unique(ends)
+            counts = self._count_rows(s, at)[np.searchsorted(at, ends)].astype(np.int32)
+            runs = slice(s // _SUB, s // _SUB + len(r0))
+            self.corner_store[block] = _Corners(counts, *(
+                _coarse(self._corner(side, c, runs)) for side, c in zip("pq", counts)
+            ))
+        return self.corner_store[block]
 
-    def rows(self, side: str, run: int):
-        """(le, lt, summary) of one side ("p" or "q") for one run of _SUB
-        anchors: its rows, and the summary the search reads of them, the
-        run's envelope on the right (p) side and each row's coarse summary
-        on the left (q).  What the last two calls returned stays valid: a
-        build overwrites only the least recently used of at least two
-        cached runs."""
-        key = (side, run)
-        s, e = run * _SUB, min(self.m, run * _SUB + _SUB)
-        if key in self.cache:
-            self.cache.move_to_end(key)
-        else:
-            out = (self.cache.popitem(last=False)[1][0] if len(self.cache) >= _CACHE_RUNS
-                   else np.empty((2, _SUB, self.K)))
-            start = s - s % _BLOCK
-            share = self._shares(start, np.arange(s - start, e - start + 1))
-            a = self.node_pos[s]
-            ref = self._running_reference(
-                self._kept_reference(start // _BLOCK, [a])[0], a, self.node_pos[e]
-            )
-            node, shifted = (self.node_hi, share[1:]) if side == "p" else (self.node_lo, share[:-1])
-            # indices are in range by construction; "clip" skips the
-            # buffered bounds check that out= would otherwise cost
-            gathered = np.take(ref, node[s:e] - a, axis=0, out=self._ref[: e - s], mode="clip")
-            le, lt = out[:, : e - s]
-            np.subtract(shifted[:, 1:], gathered, out=le)
-            np.subtract(shifted[:, :-1], gathered, out=lt)
-            self.cache[key] = (out, _envelope(le, lt) if side == "p" else _coarse((le, lt, le, lt)))
-        out, summary = self.cache[key]
-        le, lt = out[:, : e - s]
-        return le, lt, summary
+    def corner(self, side: str, run: int) -> np.ndarray:
+        """(4, K) corner of one side for one run, formed from its block's
+        kept counts and the sweep's R."""
+        block, t = divmod(run, _BLOCK // _SUB)
+        return self._corner(side, self.corners(block).counts["pq".index(side)][:, t], run)
+
+    def run(self, k: int) -> _Run:
+        """The store of run k: built on first use; the last _CACHE_RUNS
+        runs built are kept."""
+        if k in self.runs:
+            self.runs.move_to_end(k)
+            return self.runs[k]
+        s, e = k * _SUB, min(self.m, k * _SUB + _SUB)
+        start = s - s % _BLOCK
+        counts = self._count_rows(start, np.arange(s - start, e - start + 1)).astype(np.int32)
+        a = self.node_pos[s]
+        kept = self.kept_refs[np.searchsorted(self.kept_atoms, a)]   # the sweep's R at atom a
+        ref = self._running_reference(kept, a, self.node_pos[e])
+        p_at, q_at = self.node_hi[s:e] - a, self.node_lo[s:e] - a
+        used = np.unique(np.concatenate([p_at, q_at]))
+        refs, p_at, q_at = ref[used], np.searchsorted(used, p_at), np.searchsorted(used, q_at)
+        envelope = np.stack(_envelope(*self._formed(counts[1:], refs, p_at)))
+        le, lt = self._formed(counts[:-1], refs, q_at)
+        if len(self.runs) >= _CACHE_RUNS:
+            self.runs.popitem(last=False)
+        self.runs[k] = _Run(counts, refs, p_at, q_at, envelope, _coarse((le, lt, le, lt)))
+        return self.runs[k]
+
+    def _formed(self, counts, refs, at) -> tuple:
+        """(le, lt) of count rows less the R rows refs[at], formed into a
+        reused buffer that the next call overwrites."""
+        share = np.multiply(counts, self.inv_n, out=self._share[: len(at)])
+        # indices are in range by construction; "clip" skips the
+        # buffered bounds check that out= would otherwise cost
+        gathered = np.take(refs, at, axis=0, out=self._ref[: len(at)], mode="clip")
+        le, lt = self._rows[:, : len(at)]
+        np.subtract(share[:, 1:], gathered, out=le)
+        np.subtract(share[:, :-1], gathered, out=lt)
+        return le, lt
+
+    def run_rows(self, side: str, k: int) -> tuple:
+        """(le, lt) of one side's rows of run k, valid until the next call."""
+        run = self.run(k)
+        if side == "p":
+            return self._formed(run.counts[1:], run.refs, run.p_at)
+        return self._formed(run.counts[:-1], run.refs, run.q_at)
+
+    def row(self, side: str, r: int) -> tuple:
+        """(le, lt) of one side's row at anchor r, formed from its run."""
+        run = self.run(r // _SUB)
+        i = r % _SUB
+        counts, ref = ((run.counts[i + 1], run.refs[run.p_at[i]]) if side == "p"
+                       else (run.counts[i], run.refs[run.q_at[i]]))
+        share = counts * self.inv_n
+        return share[1:] - ref, share[:-1] - ref
+
+    def held_bytes(self) -> int:
+        """Bytes held by the run and corner stores."""
+        stores = (*self.runs.values(), *self.corner_store.values())
+        return sum(x.nbytes for store in stores for x in store)
 
 
 def _envelope(le: np.ndarray, lt: np.ndarray) -> tuple:
@@ -741,7 +817,7 @@ def _anchored_search(rows: _AnchorRows):
     top it is bounded again on the full axis and goes back if it still
     beats the incumbent, so nodes are expanded in order of their full
     bound, only those whose full bound exceeds the final maximum are
-    expanded, and only their blocks' corners and their runs' rows are
+    expanded, and only their blocks' corners and their runs' stores are
     built.  Every bound carries the rows' rounding allowance, so the
     result is the largest computed pair value.
     """
@@ -765,21 +841,19 @@ def _anchored_search(rows: _AnchorRows):
             if level == 0:
                 v = bound(rows.p_block[:, j], rows.q_block[:, i])
             elif level == 1:
-                v = bound(rows.corners(j // per)[0][:, j % per],
-                          rows.corners(i // per)[1][:, i % per])
+                v = bound(rows.corner("p", j), rows.corner("q", i))
             else:
-                le, lt, _ = rows.rows("q", i // _SUB)
-                le, lt = le[i % _SUB], lt[i % _SUB]
+                le, lt = rows.row("q", i)
                 row = (le, lt, le, lt)
-                v = bound(rows.corners(j // per)[0][:, j % per], row)
+                v = bound(rows.corner("p", j), row)
                 if v > best:
                     # the envelope is the tighter summary where the reference
                     # moves inside the run, as it does at every anchor under NRD
-                    v = min(v, bound(rows.rows("p", j)[2], row))
+                    v = min(v, bound(rows.run(j).envelope, row))
             if v > best:
                 heapq.heappush(heap, (-float(v), level, i, j, True))
         elif level == 0:
-            p, q = rows.corners(j)[2], rows.corners(i)[3]
+            p, q = rows.corners(j).p_coarse, rows.corners(i).q_coarse
             iruns = np.arange(i * per, i * per + q.shape[1])
             jruns = np.arange(j * per, j * per + p.shape[1])
             bounds = bound(p[:, None], q[:, :, None])
@@ -787,21 +861,21 @@ def _anchored_search(rows: _AnchorRows):
             for a, b in zip(*np.nonzero((bounds > best) & (iruns[:, None] <= jruns[None]))):
                 heapq.heappush(heap, (-float(bounds[a, b]), 1, int(iruns[a]), int(jruns[b]), False))
         elif level == 1:
-            bounds = bound(rows.corners(j // per)[2][:, j % per], rows.rows("q", i)[2])
+            bounds = bound(rows.corners(j // per).p_coarse[:, j % per], rows.run(i).q_coarse)
             for r in np.nonzero(bounds > best)[0]:
                 heapq.heappush(heap, (-float(bounds[r]), 2, i * _SUB + int(r), j, False))
         else:
             counts["rows_expanded"] += 1
-            q_le, q_lt, _ = rows.rows("q", i // _SUB)
-            q_le, q_lt = q_le[i % _SUB], q_lt[i % _SUB]
-            p_le, p_lt, _ = rows.rows("p", j)
+            q_le, q_lt = rows.row("q", i)
+            p_le, p_lt = rows.run_rows("p", j)
             vals = _pair_bound((p_le, p_lt, p_le, p_lt), (q_le, q_lt, q_le, q_lt))
             vals[np.arange(j * _SUB, j * _SUB + len(vals)) < i] = -np.inf
             jj = int(np.argmax(vals))
             if vals[jj] > best:
                 best, pair = float(vals[jj]), (i, j * _SUB + jj)
     counts["block_builds"] = rows.builds
-    counts["corner_blocks"] = len(rows.corner_cache)
+    counts["corner_blocks"] = len(rows.corner_store)
+    counts["held_bytes"] = rows.held_bytes()
     return best, pair, counts
 
 
@@ -838,12 +912,15 @@ def test_statistic(dataset: SurvivalDataset, theta0: Theta, design: str, q_grid,
     bound still exceeds the incumbent is scored exactly.  Each of these
     enters the search on its bound over runs of 16 time anchors, O(K/16)
     per pair for K time anchors, and pays the O(K) bound only when it
-    reaches the top (fine_bounds counts these).  No m x K matrix is held:
-    one sweep keeps each block's start state and envelopes and its runs'
-    boundary reference, and the search builds the corners of the blocks it
-    visits and the rows of the runs it visits, keeping the last 32 runs.
-    The result is the exact anchored maximum; the counters of this work
-    and the seconds spent building and searching are returned with it.
+    reaches the top (fine_bounds counts these).  For m covariate anchors
+    no float m x K matrix is held: one sweep keeps each block's start
+    counts and envelopes, about m K bytes, and R at its runs' boundary
+    atoms; the search keeps int32 counts, the corner rows of the blocks it
+    visits (about m K bytes once it visits all) and one store for both
+    sides of each of the last 32 runs it visits, and forms every row and
+    corner it reads from them.  The result is the exact anchored maximum;
+    the counters of this work, the bytes held and the seconds spent
+    building and searching are returned with it.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise DomainError(f"epsilon must be a positive real, got {epsilon}")
@@ -881,11 +958,8 @@ def test_statistic(dataset: SurvivalDataset, theta0: Theta, design: str, q_grid,
         built = time.perf_counter()
         _, (i_star, j_star), counts = _anchored_search(rows)
         # recover the maximizing time interval from the winning anchor pair
-        p_le, p_lt, _ = rows.rows("p", j_star // _SUB)
-        q_le, q_lt, _ = rows.rows("q", i_star // _SUB)
-        value, (ka, kb) = _best_time_interval(
-            p_le[j_star % _SUB] - q_le[i_star % _SUB], p_lt[j_star % _SUB] - q_lt[i_star % _SUB]
-        )
+        (p_le, p_lt), (q_le, q_lt) = rows.row("p", j_star), rows.row("q", i_star)
+        value, (ka, kb) = _best_time_interval(p_le - q_le, p_lt - q_lt)
         rect = Rectangle(
             time=(anchors_t[ka], anchors_t[kb]),
             box=((rows.anchors_x[i_star], rows.anchors_x[j_star]),),

@@ -289,7 +289,7 @@ REPORT_LAYOUTS = {
         {"/block_builds", "/block_pairs_bounded", "/d", "/epsilon", "/expected_dev_bound", "/n",
          "/phi", "/rows_expanded", "/sub_pairs_bounded", "/sup_dev", "/threshold",
          "/timings/build_s", "/timings/corner_blocks", "/timings/fine_bounds",
-         "/timings/reference_rows", "/timings/search_s", "/type1_bound"},
+         "/timings/held_bytes", "/timings/reference_rows", "/timings/search_s", "/type1_bound"},
     ),
     "kl": (
         {"delta": 0.1, "tau": 2.0, "members": 2, "horizon": 12.0},
@@ -421,7 +421,7 @@ class TestRun:
         assert report["block_builds"] >= 7
         timings = report["timings"]
         assert set(timings) == {"build_s", "search_s", "corner_blocks", "fine_bounds",
-                                "reference_rows"}
+                                "reference_rows", "held_bytes"}
         assert timings["build_s"] > 0 and timings["search_s"] > 0
         # the constant theta0 gives all 64 atoms one reference row
         assert timings["reference_rows"] == 1

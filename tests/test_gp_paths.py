@@ -387,6 +387,21 @@ class TestFactorCache:
         assert again is chol
         assert _grid_factor.cache_info().hits == 1
 
+    @pytest.mark.parametrize("kernel, points, escalations", [
+        (StationaryKernel.se(lengthscale=0.5), DyadicGrid(2.0, 5).as_array(), 0),
+        (StationaryKernel.ou(), DyadicGrid(2.0, 5).as_array(), 0),
+        # covariance 1 + 5e-10 off the diagonal: the first jitter is too little
+        (StationaryKernel("tabulated", table_t=(0.0, 1.0), table_k=(1.0, 1.0 + 5e-10)),
+         np.array([0.0, 1.0]), 1),
+    ])
+    def test_factor_equals_jitter_added_as_a_matrix(self, kernel, points, escalations):
+        # the jitter is written onto the covariance's diagonal in place
+        _grid_factor.cache_clear()
+        chol, jitter = _covariance_cholesky(kernel, points)
+        assert jitter == JITTER_FACTOR * kernel.kappa0 * 10.0 ** escalations
+        cov = kernel(np.abs(points[:, None] - points[None, :]))
+        assert np.array_equal(chol, np.linalg.cholesky(cov + jitter * np.eye(points.size)))
+
     def test_failed_factorisation_is_not_cached(self):
         _grid_factor.cache_clear()
         k = StationaryKernel("tabulated", table_t=(0.0, 1.0, 2.0), table_k=(1.0, 0.9, -0.9))

@@ -456,22 +456,25 @@ def enumerate_anchored(dataset, theta0, atoms):
     return float(anchored_pair_values(dataset, theta0, atoms).max())
 
 
+def run_corners(rows, side):
+    """(4, runs, K) fine corners of one side, formed run by run."""
+    return np.stack([rows.corner(side, r) for r in range(-(-rows.m // vc._SUB))], axis=1)
+
+
 def coarse_margins(rows, coarsen):
     """Coarse minus full bound for every pair whose bound the search takes
     on both time axes: block envelope pairs, run corner pairs, and left
     rows against right run corners, each side coarsened by coarsen."""
-    blocks, runs = -(-rows.m // vc._BLOCK), -(-rows.m // vc._SUB)
-    corners = list(zip(*map(rows.corners, range(blocks))))
-    p_corner, q_corner = (np.concatenate(c, axis=1) for c in corners[:2])
+    p_corner, q_corner = run_corners(rows, "p"), run_corners(rows, "q")
     margins = []
     for p, q in ((rows.p_block, rows.q_block), (p_corner, q_corner)):
         fine = vc._pair_bound(p[:, :, None], q[:, None])
         margins.append(vc._pair_bound(coarsen(p)[:, :, None], coarsen(q)[:, None]) - fine)
-    for r in range(runs):
-        le, lt, _ = rows.rows("q", r)
+    for i in range(rows.m):
+        le, lt = rows.row("q", i)
         row = (le, lt, le, lt)
-        fine = vc._pair_bound(p_corner[:, :, None], row)
-        margins.append(vc._pair_bound(coarsen(p_corner)[:, :, None], coarsen(row)) - fine)
+        fine = vc._pair_bound(p_corner, row)
+        margins.append(vc._pair_bound(coarsen(p_corner), coarsen(row)) - fine)
     return np.concatenate([x.ravel() for x in margins])
 
 
@@ -621,29 +624,32 @@ class TestStatistic:
                               design)
         m, block, run = len(values), vc._BLOCK, vc._SUB
         blocks, runs = -(-m // block), -(-m // run)
-        assert not rows.corner_cache and not rows.cache
+        assert not rows.corner_store and not rows.runs
 
         def covers(bound, i0, i1, j0, j1):
             assert bound + rows.slack >= values[i0:i1, j0:j1].max()
 
-        # block envelopes are the elementwise extremes of their rows
+        # block envelopes are the elementwise extremes of their rows; a
+        # run's rows formed together equal its rows formed one at a time
         for side, block_env in (("p", rows.p_block), ("q", rows.q_block)):
-            built = [rows.rows(side, r) for r in range(runs)]
-            le_all = np.concatenate([x[0] for x in built])
-            lt_all = np.concatenate([x[1] for x in built])
+            le_all, lt_all = np.array([rows.row(side, i) for i in range(m)]).transpose(1, 0, 2)
+            for r in range(runs):
+                assert_array_equal(np.array(rows.run_rows(side, r)),
+                                   np.stack([le_all[r * run: r * run + run], lt_all[r * run: r * run + run]]))
             for g in range(blocks):
                 le, lt = le_all[g * block: g * block + block], lt_all[g * block: g * block + block]
                 extremes = (le.max(axis=0), lt.min(axis=0), le.min(axis=0), lt.max(axis=0))
                 for got, want in zip(block_env, extremes):
                     assert_allclose(got[g], want, rtol=0.0, atol=rows.slack)
-        # corners built on demand, and the envelopes of the right runs' rows
-        p_corner, q_corner, p_coarse, q_coarse = (
-            np.concatenate(c, axis=1) for c in zip(*map(rows.corners, range(blocks)))
-        )
-        assert len(rows.corner_cache) == blocks
-        p_env = np.stack([np.stack(rows.rows("p", r)[2]) for r in range(runs)], axis=1)
+        # corners formed from the counts kept on demand, and the envelopes
+        # of the right runs' rows
+        p_corner, q_corner = run_corners(rows, "p"), run_corners(rows, "q")
+        p_coarse, q_coarse = (np.concatenate([getattr(rows.corners(g), name) for g in range(blocks)], axis=1)
+                              for name in ("p_coarse", "q_coarse"))
+        assert len(rows.corner_store) == blocks
+        p_env = np.stack([rows.run(r).envelope for r in range(runs)], axis=1)
         assert_array_equal(p_env, np.stack(
-            [np.stack(vc._envelope(*rows.rows("p", r)[:2])) for r in range(runs)], axis=1
+            [np.stack(vc._envelope(*rows.run_rows("p", r))) for r in range(runs)], axis=1
         ))
         assert p_corner.shape == q_corner.shape == p_env.shape == (4, runs, len(anchors_t))
         if design == "RD":
@@ -658,7 +664,7 @@ class TestStatistic:
                     bound = vc._pair_bound(p[:, jg], q[:, ig])
                     covers(bound, ig * size, ig * size + size, jg * size, jg * size + size)
         for i in range(m):
-            le, lt = (x[i % run] for x in rows.rows("q", i // run)[:2])
+            le, lt = rows.row("q", i)
             for jr in range(i // run, runs):
                 for p in (p_corner, p_env):
                     bound = vc._pair_bound(p[:, jr], (le, lt, le, lt))
@@ -669,8 +675,8 @@ class TestStatistic:
                                 (p_coarse, p_corner), (q_coarse, q_corner)):
             assert_array_equal(coarse, vc._coarse(summary))
         for r in range(runs):
-            le, lt, coarse = rows.rows("q", r)
-            assert_array_equal(coarse, vc._coarse((le, lt, le, lt)))
+            le, lt = rows.run_rows("q", r)
+            assert_array_equal(rows.run(r).q_coarse, vc._coarse((le, lt, le, lt)))
         assert coarse_margins(rows, vc._coarse).min() >= 0.0
 
     @pytest.mark.parametrize("n, time_anchors", [(11, 13), (158, 160)])
@@ -696,14 +702,14 @@ class TestStatistic:
         assert res.block_pairs_bounded == 32 * 33 // 2
 
     @pytest.mark.parametrize("omega, n, seed, epsilon, want", [
-        # recorded when every block built its own reference rows; the share
+        # recorded when every block built its own reference rows; the count
         # builds (last counter) were 51 and 50 while the construction sweep
-        # stored every run's corners and envelopes, and 127 and 55 while
-        # every node was bounded on the full time axis before it entered
-        # the heap; the blocks whose corners are built on demand are all 32
-        # and 5 of 47
+        # stored every run's corners and envelopes, 127 and 55 while every
+        # node was bounded on the full time axis before it entered the heap,
+        # and 96 and 55 while each side of a run was built apart; the blocks
+        # whose corners are built on demand are all 32 and 5 of 47
         (2.0, 2000, 2, 0.3, (0.03922665531404829, (0.022629350939928503, 1.2557450074174716),
-                             (0.25850636190238185, 0.9608195040934834), (528, 5976, 3, 32, 96))),
+                             (0.25850636190238185, 0.9608195040934834), (528, 5976, 3, 32, 92))),
         (4.0, 3000, 3, 0.2, (0.26454024443918966, (4.2559547702804116e-06, 0.6675115527280868),
                              (0.008039102514709406, 0.9915557317953035), (1128, 64, 2, 5, 55))),
     ])
@@ -735,19 +741,28 @@ class TestStatistic:
         assert again == res
         assert again.reference_rows == sum(calls) > 64
 
-    def test_traced_peak_stays_below_the_run_summaries(self):
-        # the n = 3000 case above: with every run's corners and envelopes
-        # held, 77.5 MiB of them alone, the traced peak was 89.9 MiB
+    @staticmethod
+    def _traced_peak(omega, n, seed, epsilon):
         theta0 = Theta.constant(2.0, 1, 20.0)
-        truth = Theta.constant(4.0, 1, 20.0)
-        ds = generate_dataset(truth, 3000, "RD", UniformQ(1), horizon=20.0, seed=3)
+        truth = Theta.constant(omega, 1, 20.0)
+        ds = generate_dataset(truth, n, "RD", UniformQ(1), horizon=20.0, seed=seed)
         tracemalloc.start()
         try:
-            anchored_statistic(ds, theta0, "RD", None, epsilon=0.2)
-            peak = tracemalloc.get_traced_memory()[1]
+            anchored_statistic(ds, theta0, "RD", None, epsilon=epsilon)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 45 * 2 ** 20
+
+    def test_traced_peak_stays_below_the_run_summaries(self):
+        # the n = 3000 case above: with every run's corners and envelopes
+        # held, 77.5 MiB of them alone, the traced peak was 89.9 MiB; with
+        # float corners and rows 26.4 MiB, and with integer counts 21.2 MiB
+        assert self._traced_peak(4.0, 3000, 3, 0.2) <= 26 * 2 ** 20
+
+    def test_traced_peak_with_every_block_visited(self):
+        # the n = 2000 null case above, whose corners cover all 32 blocks:
+        # 45.0 MiB with float corners and rows, 23.7 MiB with integer counts
+        assert self._traced_peak(2.0, 2000, 2, 0.3) <= 29 * 2 ** 20
 
     def test_argmax_rectangle_reproduces_value(self):
         theta0 = Theta.constant(omega=2.0, d=1, horizon=12.0)
@@ -769,10 +784,12 @@ class TestStatistic:
         }
         assert rec["block_pairs_bounded"] == 1 and rec["block_builds"] >= 1
         assert set(rec["timings"]) == {"build_s", "search_s", "corner_blocks", "fine_bounds",
-                                       "reference_rows"}
+                                       "reference_rows", "held_bytes"}
         assert rec["timings"]["build_s"] > 0 and rec["timings"]["search_s"] > 0
         assert rec["timings"]["corner_blocks"] == 1
         assert rec["timings"]["reference_rows"] == 1
+        # one block's corner store and the stores of the runs searched
+        assert rec["timings"]["held_bytes"] > 0
         assert rec["n"] == 50
         assert rec["threshold"] == 0.05
 
@@ -846,3 +863,24 @@ class TestAnchorRowKernels:
             assert_array_equal(rows.ref_rows, per_atom)
         else:
             assert_allclose(rows.ref_rows, per_atom, rtol=0.0, atol=rows.slack)
+
+    @pytest.mark.parametrize("design, cells", [("RD", 64), ("RD", 2), ("NRD", None)])
+    def test_p_row_is_the_next_q_row_with_no_atom_between(self, design, cells):
+        # p's row r and q's row r + 1 read the same count row, and where no
+        # atom lies strictly between x_r and x_(r+1) the same R row; under
+        # NRD every atom is an anchor, so that holds for every r
+        theta0 = random_theta(d=1, seed=69, omega=2.0)
+        rows_x = np.random.default_rng(41).random((150, 1))
+        q = UniformQ(1) if design == "RD" else rows_x
+        ds = generate_dataset(theta0, 150, design, q, horizon=theta0.horizon, seed=42)
+        anchors_t = np.unique(np.concatenate([[0.0, theta0.horizon], ds.times_array()]))
+        rows = vc._AnchorRows(ds.times_array(), ds.covariates_array()[:, 0],
+                              vc.resolve_atoms(design, q, cells), theta0, anchors_t, design)
+        between = rows.node_hi[:-1] != rows.node_lo[1:]
+        assert between.any() == (design == "RD") and not between.all()
+        builds = rows.builds
+        for r in np.flatnonzero(~between):
+            assert_array_equal(rows.row("p", r), rows.row("q", r + 1))
+        # one build per run serves both sides
+        runs = -(-rows.m // vc._SUB)
+        assert rows.builds - builds == runs == len(rows.runs)
